@@ -29,121 +29,155 @@ combineAggregate(SummaryPyramid::CounterAggregate &into,
     into.count += from.count;
 }
 
-/** Merge two sorted (state, time) vectors, summing equal states. */
-std::vector<std::pair<std::uint32_t, TimeStamp>>
-mergeOccupancy(const std::vector<std::pair<std::uint32_t, TimeStamp>> &a,
-               const std::vector<std::pair<std::uint32_t, TimeStamp>> &b)
-{
-    std::vector<std::pair<std::uint32_t, TimeStamp>> out;
-    out.reserve(a.size() + b.size());
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < a.size() && j < b.size()) {
-        if (a[i].first < b[j].first) {
-            out.push_back(a[i++]);
-        } else if (b[j].first < a[i].first) {
-            out.push_back(b[j++]);
-        } else {
-            out.emplace_back(a[i].first, a[i].second + b[j].second);
-            i++;
-            j++;
-        }
-    }
-    for (; i < a.size(); i++)
-        out.push_back(a[i]);
-    for (; j < b.size(); j++)
-        out.push_back(b[j]);
-    return out;
-}
-
 } // namespace
 
 SummaryPyramid::SummaryPyramid(const trace::Trace &trace, CpuId cpu,
                                TimeStamp leaf_granularity,
-                               std::uint64_t leaf_count)
+                               std::uint64_t leaf_count,
+                               std::span<const TimeStamp> task_starts)
     : g0_(leaf_granularity), leafCount_(leaf_count)
 {
     AFTERMATH_ASSERT(g0_ > 0 && leafCount_ > 0,
                      "pyramid with a degenerate leaf layout");
     const trace::CpuTimeline &tl = trace.cpu(cpu);
     counterIds_ = tl.counterIds();
-
-    std::vector<Node> leaves(leafCount_);
     const TimeStamp domain_end = g0_ * leafCount_;
 
-    // State occupancy: distribute each event's overlap across the
-    // leaves it spans. Zero-duration events have no occupancy.
-    {
-        std::vector<std::map<std::uint32_t, TimeStamp>> acc(leafCount_);
-        for (const trace::StateEvent &ev : tl.states()) {
-            if (ev.interval.end <= ev.interval.start ||
-                ev.interval.start >= domain_end)
-                continue;
-            std::uint64_t first = ev.interval.start / g0_;
-            std::uint64_t last =
-                std::min((ev.interval.end - 1) / g0_ + 1, leafCount_);
-            for (std::uint64_t leaf = first; leaf < last; leaf++) {
-                TimeInterval slot{leaf * g0_, (leaf + 1) * g0_};
-                TimeStamp overlap = ev.interval.overlapDuration(slot);
-                if (overlap > 0)
-                    acc[leaf][ev.state] += overlap;
-            }
-        }
-        for (std::uint64_t leaf = 0; leaf < leafCount_; leaf++)
-            leaves[leaf].occupancy.assign(acc[leaf].begin(),
-                                          acc[leaf].end());
+    levelStart_.push_back(0);
+    for (std::uint64_t n = leafCount_;; n = (n + 1) / 2) {
+        levelStart_.push_back(levelStart_.back() + n);
+        if (n == 1)
+            break;
     }
+    const std::uint64_t nodes = levelStart_.back();
+
+    // State occupancy. Zero-duration events have no occupancy; the
+    // states of the others, sorted, define the slots.
+    auto occupies = [domain_end](const trace::StateEvent &ev) {
+        return ev.interval.end > ev.interval.start &&
+               ev.interval.start < domain_end;
+    };
+    for (const trace::StateEvent &ev : tl.states())
+        if (occupies(ev) && (states_.empty() || states_.back() != ev.state))
+            states_.push_back(ev.state);
+    std::sort(states_.begin(), states_.end());
+    states_.erase(std::unique(states_.begin(), states_.end()),
+                  states_.end());
+
+    // Leaves: distribute each event's overlap across the leaves it
+    // spans. Finalized states are sorted and non-overlapping, so an
+    // event's first leaf is never before the previous event's last:
+    // leaves fill in order, each summed in a per-slot accumulator and
+    // emitted ascending by slot when the walk moves past it.
+    occStart_.assign(nodes + 1, 0);
+    std::vector<TimeStamp> acc(states_.size(), 0);
+    std::vector<std::uint32_t> touched;
+    std::uint64_t leaf = 0; // The leaf being accumulated.
+    auto closeLeaf = [&] {
+        std::sort(touched.begin(), touched.end());
+        for (std::uint32_t slot : touched) {
+            occ_.push_back({slot, acc[slot]});
+            acc[slot] = 0;
+        }
+        touched.clear();
+        occStart_[++leaf] = static_cast<std::uint32_t>(occ_.size());
+    };
+    for (const trace::StateEvent &ev : tl.states()) {
+        if (!occupies(ev))
+            continue;
+        const auto slot = static_cast<std::uint32_t>(
+            std::lower_bound(states_.begin(), states_.end(), ev.state) -
+            states_.begin());
+        std::uint64_t first = ev.interval.start / g0_;
+        std::uint64_t last =
+            std::min((ev.interval.end - 1) / g0_ + 1, leafCount_);
+        AFTERMATH_ASSERT(first >= leaf,
+                         "pyramid over unsorted state events");
+        for (std::uint64_t l = first; l < last; l++) {
+            while (leaf < l)
+                closeLeaf();
+            TimeInterval leaf_time{l * g0_, (l + 1) * g0_};
+            if (acc[slot] == 0)
+                touched.push_back(slot);
+            acc[slot] += ev.interval.overlapDuration(leaf_time);
+        }
+    }
+    while (leaf < leafCount_)
+        closeLeaf();
 
     // Counter aggregates: one slot per sampled counter, samples
     // bucketed by time. Sample times never reach domain_end (the leaf
     // count strictly covers the span), but stay defensive.
-    for (std::uint64_t leaf = 0; leaf < leafCount_; leaf++)
-        leaves[leaf].counters.resize(counterIds_.size());
-    for (std::size_t slot = 0; slot < counterIds_.size(); slot++) {
+    const std::size_t num_counters = counterIds_.size();
+    counters_.assign(nodes * num_counters, CounterAggregate{});
+    for (std::size_t slot = 0; slot < num_counters; slot++) {
         for (const trace::CounterSample &sample :
              tl.counterSamples(counterIds_[slot])) {
-            std::uint64_t leaf = sample.time / g0_;
-            if (leaf >= leafCount_)
+            std::uint64_t l = sample.time / g0_;
+            if (l >= leafCount_)
                 continue;
             CounterAggregate one;
             one.count = 1;
             one.min = sample.value;
             one.max = sample.value;
             one.sum = sample.value;
-            combineAggregate(leaves[leaf].counters[slot], one);
+            combineAggregate(counters_[l * num_counters + slot], one);
         }
     }
 
     // Task-begin counts of this CPU's tasks.
-    for (const trace::TaskInstance &task : trace.taskInstances()) {
-        if (task.cpu != cpu || task.interval.start >= domain_end)
-            continue;
-        leaves[task.interval.start / g0_].tasksStarted++;
-    }
+    tasksStarted_.assign(nodes, 0);
+    for (TimeStamp start : task_starts)
+        if (start < domain_end)
+            tasksStarted_[start / g0_]++;
 
-    levels_.push_back(std::move(leaves));
-    while (levels_.back().size() > 1) {
-        const std::vector<Node> &prev = levels_.back();
-        std::vector<Node> next((prev.size() + 1) / 2);
-        for (std::size_t i = 0; i < next.size(); i++) {
-            const Node &left = prev[2 * i];
-            if (2 * i + 1 >= prev.size()) {
-                next[i] = left;
-                continue;
+    // Upper levels: node i of a level merges nodes 2i and 2i + 1 of the
+    // level below; an odd last node is copied up alone.
+    for (std::size_t level = 1; level + 1 < levelStart_.size(); level++) {
+        const std::uint64_t below = levelStart_[level - 1];
+        const std::uint64_t below_size = levelStart_[level] - below;
+        for (std::uint64_t n = levelStart_[level];
+             n < levelStart_[level + 1]; n++) {
+            const std::uint64_t left = below + 2 * (n - levelStart_[level]);
+            const bool pair = left + 1 < below + below_size;
+            const std::uint64_t right = pair ? left + 1 : left;
+
+            // Merge the children's slot-sorted entries, summing equal
+            // slots (a lone child merges with an empty range).
+            std::size_t i = occStart_[left];
+            const std::size_t i_end = occStart_[left + 1];
+            std::size_t j = pair ? occStart_[right] : occStart_[right + 1];
+            const std::size_t j_end = occStart_[right + 1];
+            while (i < i_end || j < j_end) {
+                Occupancy next;
+                if (j == j_end ||
+                    (i < i_end && occ_[i].slot < occ_[j].slot)) {
+                    next = occ_[i++];
+                } else if (i == i_end || occ_[j].slot < occ_[i].slot) {
+                    next = occ_[j++];
+                } else {
+                    next = {occ_[i].slot, occ_[i].time + occ_[j].time};
+                    i++;
+                    j++;
+                }
+                occ_.push_back(next);
             }
-            const Node &right = prev[2 * i + 1];
-            next[i].occupancy =
-                mergeOccupancy(left.occupancy, right.occupancy);
-            next[i].counters = left.counters;
-            for (std::size_t slot = 0; slot < next[i].counters.size();
-                 slot++)
-                combineAggregate(next[i].counters[slot],
-                                 right.counters[slot]);
-            next[i].tasksStarted =
-                left.tasksStarted + right.tasksStarted;
+            occStart_[n + 1] = static_cast<std::uint32_t>(occ_.size());
+
+            for (std::size_t c = 0; c < num_counters; c++) {
+                counters_[n * num_counters + c] =
+                    counters_[left * num_counters + c];
+                if (pair)
+                    combineAggregate(counters_[n * num_counters + c],
+                                     counters_[right * num_counters + c]);
+            }
+            tasksStarted_[n] = tasksStarted_[left] +
+                               (pair ? tasksStarted_[right] : 0);
         }
-        levels_.push_back(std::move(next));
     }
+    AFTERMATH_ASSERT(occ_.size() <= UINT32_MAX,
+                     "pyramid occupancy overflows its offsets");
+    occ_.shrink_to_fit();
 }
 
 template <typename Visit>
@@ -151,76 +185,46 @@ void
 SummaryPyramid::decompose(std::uint64_t first, std::uint64_t last,
                           std::uint64_t &nodes_touched, Visit &&visit) const
 {
-    std::size_t level = 0;
-    while (first < last && level < levels_.size()) {
+    for (std::size_t level = 0;
+         first < last && level + 1 < levelStart_.size(); level++) {
+        const std::uint64_t base = levelStart_[level];
         if (first & 1) {
-            visit(levels_[level][first]);
+            visit(base + first);
             first++;
             nodes_touched++;
         }
         if (last & 1) {
             last--;
-            visit(levels_[level][last]);
+            visit(base + last);
             nodes_touched++;
         }
         first >>= 1;
         last >>= 1;
-        level++;
     }
 }
 
 void
 SummaryPyramid::occupancy(std::uint64_t first_leaf, std::uint64_t last_leaf,
-                          std::map<std::uint32_t, TimeStamp> &into,
+                          std::span<TimeStamp> into,
                           std::uint64_t &nodes_touched) const
 {
     last_leaf = std::min(last_leaf, leafCount_);
     if (first_leaf >= last_leaf)
         return;
-    decompose(first_leaf, last_leaf, nodes_touched, [&](const Node &node) {
-        for (const auto &entry : node.occupancy)
-            into[entry.first] += entry.second;
+    AFTERMATH_ASSERT(into.size() >= states_.size(),
+                     "occupancy buffer smaller than the state list");
+    decompose(first_leaf, last_leaf, nodes_touched, [&](std::uint64_t n) {
+        for (std::uint32_t i = occStart_[n]; i < occStart_[n + 1]; i++)
+            into[occ_[i].slot] += occ_[i].time;
     });
 }
 
-std::vector<std::pair<std::uint32_t, double>>
-SummaryPyramid::occupancyOver(const TimeInterval &interval,
-                              std::uint64_t &nodes_touched) const
+std::span<const SummaryPyramid::Occupancy>
+SummaryPyramid::leafOccupancy(std::uint64_t leaf) const
 {
-    std::map<std::uint32_t, double> acc;
-    const TimeStamp domain_end = g0_ * leafCount_;
-    TimeStamp start = std::min(interval.start, domain_end);
-    TimeStamp end = std::min(interval.end, domain_end);
-
-    auto addFraction = [&](std::uint64_t leaf, TimeStamp covered) {
-        const Node &node = levels_[0][leaf];
-        double fraction =
-            static_cast<double>(covered) / static_cast<double>(g0_);
-        for (const auto &entry : node.occupancy)
-            acc[entry.first] += static_cast<double>(entry.second) * fraction;
-        nodes_touched++;
-    };
-
-    if (start < end && start % g0_ != 0) {
-        // Leading partial leaf.
-        std::uint64_t leaf = start / g0_;
-        TimeStamp leaf_end = (leaf + 1) * g0_;
-        addFraction(leaf, std::min(end, leaf_end) - start);
-        start = std::min(leaf_end, end);
-    }
-    if (start < end && end % g0_ != 0 && end / g0_ >= start / g0_) {
-        // Trailing partial leaf (distinct from the leading one here).
-        std::uint64_t leaf = end / g0_;
-        addFraction(leaf, end - leaf * g0_);
-        end = leaf * g0_;
-    }
-    if (start < end) {
-        std::map<std::uint32_t, TimeStamp> exact;
-        occupancy(start / g0_, end / g0_, exact, nodes_touched);
-        for (const auto &entry : exact)
-            acc[entry.first] += static_cast<double>(entry.second);
-    }
-    return {acc.begin(), acc.end()};
+    AFTERMATH_ASSERT(leaf < leafCount_, "leaf outside the pyramid");
+    return {occ_.data() + occStart_[leaf],
+            occ_.data() + occStart_[leaf + 1]};
 }
 
 SummaryPyramid::CounterAggregate
@@ -234,13 +238,14 @@ SummaryPyramid::counterAggregate(CounterId counter,
                                counter);
     if (it == counterIds_.end() || *it != counter)
         return out;
-    std::size_t slot =
+    const std::size_t slot =
         static_cast<std::size_t>(it - counterIds_.begin());
+    const std::size_t num_counters = counterIds_.size();
     last_leaf = std::min(last_leaf, leafCount_);
     if (first_leaf >= last_leaf)
         return out;
-    decompose(first_leaf, last_leaf, nodes_touched, [&](const Node &node) {
-        combineAggregate(out, node.counters[slot]);
+    decompose(first_leaf, last_leaf, nodes_touched, [&](std::uint64_t n) {
+        combineAggregate(out, counters_[n * num_counters + slot]);
     });
     return out;
 }
@@ -255,23 +260,20 @@ SummaryPyramid::tasksStarted(std::uint64_t first_leaf,
     if (first_leaf >= last_leaf)
         return out;
     decompose(first_leaf, last_leaf, nodes_touched,
-              [&](const Node &node) { out += node.tasksStarted; });
+              [&](std::uint64_t n) { out += tasksStarted_[n]; });
     return out;
 }
 
 std::size_t
 SummaryPyramid::memoryBytes() const
 {
-    std::size_t bytes = sizeof(*this);
-    for (const std::vector<Node> &level : levels_) {
-        bytes += level.size() * sizeof(Node);
-        for (const Node &node : level) {
-            bytes += node.occupancy.size() *
-                     sizeof(std::pair<std::uint32_t, TimeStamp>);
-            bytes += node.counters.size() * sizeof(CounterAggregate);
-        }
-    }
-    return bytes;
+    return sizeof(*this) + counterIds_.size() * sizeof(CounterId) +
+           states_.size() * sizeof(std::uint32_t) +
+           levelStart_.size() * sizeof(std::uint64_t) +
+           occStart_.size() * sizeof(std::uint32_t) +
+           occ_.size() * sizeof(Occupancy) +
+           counters_.size() * sizeof(CounterAggregate) +
+           tasksStarted_.size() * sizeof(std::uint64_t);
 }
 
 TracePyramids::TracePyramids(const trace::Trace &trace)
@@ -303,6 +305,20 @@ TracePyramids::TracePyramids(const trace::Trace &trace)
     for (const trace::TaskInstance &task : instances)
         taskEnds_.push_back(task.interval.end);
     std::sort(taskEnds_.begin(), taskEnds_.end());
+
+    // Task start times grouped by CPU (tasks on unknown CPUs dropped).
+    cpuTaskFirst_.assign(shards_.size() + 1, 0);
+    for (const trace::TaskInstance &task : instances)
+        if (task.cpu < shards_.size())
+            cpuTaskFirst_[task.cpu + 1]++;
+    for (std::size_t c = 0; c < shards_.size(); c++)
+        cpuTaskFirst_[c + 1] += cpuTaskFirst_[c];
+    cpuTaskStarts_.resize(cpuTaskFirst_.back());
+    std::vector<std::size_t> fill(cpuTaskFirst_.begin(),
+                                  cpuTaskFirst_.end() - 1);
+    for (const trace::TaskInstance &task : instances)
+        if (task.cpu < shards_.size())
+            cpuTaskStarts_[fill[task.cpu]++] = task.interval.start;
 }
 
 const SummaryPyramid &
@@ -325,7 +341,10 @@ TracePyramids::getOrNull(CpuId cpu, bool *built)
     base::MutexLock lock(shard.mutex);
     if (!shard.pyramid) {
         shard.pyramid = std::make_unique<SummaryPyramid>(
-            trace_, cpu, g0_, leafCount_);
+            trace_, cpu, g0_, leafCount_,
+            std::span<const TimeStamp>(cpuTaskStarts_)
+                .subspan(cpuTaskFirst_[cpu],
+                         cpuTaskFirst_[cpu + 1] - cpuTaskFirst_[cpu]));
         if (built)
             *built = true;
     }

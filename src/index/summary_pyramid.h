@@ -28,6 +28,15 @@
  * ResolutionInfo provenance. Resolution::Exact never touches this
  * structure.
  *
+ * Storage is flat, so a build makes a handful of allocations per CPU
+ * instead of several per node and a query walks contiguous memory:
+ * every level's nodes share one index space (level k is a contiguous
+ * index range), occupancy is CSR (one offset per node into packed
+ * (slot, time) entries, slots indexing the CPU's sorted state list),
+ * counter aggregates are one slab of node x counter slots, and the
+ * task-begin counts are one array. Callers accumulate occupancy into
+ * flat per-slot buffers they own and reuse.
+ *
  * One caveat for bit-identity: the exact scan records a zero-valued
  * occupancy entry for a zero-duration state event inside the interval
  * (its slice includes the event, its overlap is zero); the pyramid
@@ -46,8 +55,8 @@
 #define AFTERMATH_INDEX_SUMMARY_PYRAMID_H
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -77,36 +86,46 @@ class SummaryPyramid
         std::int64_t sum = 0;
     };
 
+    /** Time one node spends in the state states()[slot]. */
+    struct Occupancy
+    {
+        std::uint32_t slot = 0;
+        TimeStamp time = 0;
+    };
+
     /**
      * Build the pyramid of @p cpu over @p trace with leaves of
      * @p leaf_granularity covering @p leaf_count slots from time 0.
-     * The trace must stay alive and unchanged.
+     * @p task_starts holds the start times of the tasks executed on
+     * @p cpu, in any order. The trace must stay alive and unchanged.
      */
     SummaryPyramid(const trace::Trace &trace, CpuId cpu,
-                   TimeStamp leaf_granularity, std::uint64_t leaf_count);
+                   TimeStamp leaf_granularity, std::uint64_t leaf_count,
+                   std::span<const TimeStamp> task_starts);
 
     TimeStamp leafGranularity() const { return g0_; }
     std::uint64_t leafCount() const { return leafCount_; }
 
     /**
+     * The states with nonzero occupancy on this CPU, ascending. Nodes
+     * name a state by its position here (its slot), so slot order is
+     * state order.
+     */
+    const std::vector<std::uint32_t> &states() const { return states_; }
+
+    /**
      * Exact state occupancy over the aligned leaf range
-     * [@p first_leaf, @p last_leaf): adds time-per-state into @p into
-     * (states with zero occupancy are absent) and counts the pyramid
+     * [@p first_leaf, @p last_leaf): adds each state's time to
+     * @p into[slot] (@p into holds at least states().size() slots; a
+     * state absent from the range adds nothing) and counts the pyramid
      * nodes consulted into @p nodes_touched.
      */
     void occupancy(std::uint64_t first_leaf, std::uint64_t last_leaf,
-                   std::map<std::uint32_t, TimeStamp> &into,
+                   std::span<TimeStamp> into,
                    std::uint64_t &nodes_touched) const;
 
-    /**
-     * Approximate state occupancy over an *arbitrary* interval, for
-     * sub-pixel render bands: whole leaves inside the interval are
-     * exact; a partially covered boundary leaf contributes its
-     * occupancy scaled by the covered fraction.
-     */
-    std::vector<std::pair<std::uint32_t, double>>
-    occupancyOver(const TimeInterval &interval,
-                  std::uint64_t &nodes_touched) const;
+    /** The nonzero occupancy entries of leaf @p leaf, ascending by slot. */
+    std::span<const Occupancy> leafOccupancy(std::uint64_t leaf) const;
 
     /**
      * Exact counter aggregate over the aligned leaf range. A counter
@@ -129,19 +148,10 @@ class SummaryPyramid
     std::size_t memoryBytes() const;
 
   private:
-    struct Node
-    {
-        /** (state, time inside node), sorted by state id; zero-time
-         *  states absent. */
-        std::vector<std::pair<std::uint32_t, TimeStamp>> occupancy;
-        /** One slot per id in counterIds_, same order. */
-        std::vector<CounterAggregate> counters;
-        std::uint64_t tasksStarted = 0;
-    };
-
     /**
      * Canonical bottom-up decomposition of the leaf range
-     * [first, last) into O(log n) nodes; calls @p visit on each.
+     * [first, last) into O(log n) nodes; calls @p visit with each
+     * node's flat index.
      */
     template <typename Visit>
     void decompose(std::uint64_t first, std::uint64_t last,
@@ -149,10 +159,21 @@ class SummaryPyramid
 
     TimeStamp g0_;
     std::uint64_t leafCount_;
-    std::vector<CounterId> counterIds_; ///< Sorted; slot order of nodes.
-    /** levels_[0] = leaves; levels_[k] merges pairs of level k-1;
-     *  top level has exactly one node. */
-    std::vector<std::vector<Node>> levels_;
+    std::vector<CounterId> counterIds_; ///< Sorted; slot order of counters_.
+    std::vector<std::uint32_t> states_; ///< Sorted; slot order of occ_.
+
+    /**
+     * Every level's nodes in one index space: level k holds nodes
+     * [levelStart_[k], levelStart_[k + 1]); level 0 are the leaves,
+     * level k merges pairs of level k-1, the top level has one node.
+     */
+    std::vector<std::uint64_t> levelStart_;
+    /** CSR occupancy: node n owns occ_[occStart_[n], occStart_[n + 1]). */
+    std::vector<std::uint32_t> occStart_;
+    std::vector<Occupancy> occ_;
+    /** Node n's aggregate of counterIds_[c] is counters_[n * C + c]. */
+    std::vector<CounterAggregate> counters_;
+    std::vector<std::uint64_t> tasksStarted_; ///< Per node.
 };
 
 /**
@@ -257,6 +278,10 @@ class TracePyramids
     std::vector<TimeStamp> taskStarts_; ///< Sorted start times.
     std::vector<TimeStamp> taskEnds_;   ///< Sorted end times.
     std::vector<const trace::TaskInstance *> tasksByStart_;
+    /** Start times of CPU c's tasks are cpuTaskStarts_[cpuTaskFirst_[c],
+     *  cpuTaskFirst_[c + 1]), so a build reads only its own tasks. */
+    std::vector<std::size_t> cpuTaskFirst_;
+    std::vector<TimeStamp> cpuTaskStarts_;
 };
 
 } // namespace index

@@ -16,20 +16,31 @@ TimelineLayout::TimelineLayout(const TimeInterval &view, std::uint32_t width,
     AFTERMATH_ASSERT(!view.empty(), "layout view interval must be non-empty");
 }
 
-TimeInterval
-TimelineLayout::pixelInterval(std::uint32_t x) const
+TimeStamp
+TimelineLayout::edge(std::uint32_t x) const
 {
     // Integer split of the view into `width` near-equal pieces; pixel
     // intervals tile the view exactly (no gaps, no overlaps) so that the
     // predominant-state resolution never double-counts time.
-    TimeStamp dur = view_.duration();
-    TimeStamp start = view_.start +
-        static_cast<TimeStamp>((static_cast<unsigned __int128>(dur) * x) /
-                               width_);
-    TimeStamp end = view_.start +
-        static_cast<TimeStamp>(
-            (static_cast<unsigned __int128>(dur) * (x + 1)) / width_);
-    return {start, std::max(end, start)};
+    return view_.start +
+           static_cast<TimeStamp>(
+               (static_cast<unsigned __int128>(view_.duration()) * x) /
+               width_);
+}
+
+TimeInterval
+TimelineLayout::pixelInterval(std::uint32_t x) const
+{
+    TimeStamp start = edge(x);
+    return {start, std::max(edge(x + 1), start)};
+}
+
+void
+TimelineLayout::pixelEdges(std::vector<TimeStamp> &edges) const
+{
+    edges.resize(static_cast<std::size_t>(width_) + 1);
+    for (std::uint32_t x = 0; x <= width_; x++)
+        edges[x] = edge(x);
 }
 
 std::uint32_t

@@ -11,6 +11,7 @@
 #define AFTERMATH_RENDER_LAYOUT_H
 
 #include <cstdint>
+#include <vector>
 
 #include "base/time_interval.h"
 #include "base/types.h"
@@ -46,6 +47,12 @@ class TimelineLayout
     /** The time interval represented by pixel column @p x. */
     TimeInterval pixelInterval(std::uint32_t x) const;
 
+    /**
+     * The width + 1 pixel edges, computed once for a whole frame:
+     * pixelInterval(x) is [@p edges[x], @p edges[x + 1]).
+     */
+    void pixelEdges(std::vector<TimeStamp> &edges) const;
+
     /** The pixel column containing time @p t (clamped to the view). */
     std::uint32_t timeToPixel(TimeStamp t) const;
 
@@ -59,6 +66,9 @@ class TimelineLayout
     std::uint32_t laneHeight() const;
 
   private:
+    /** Start of pixel column @p x; edge(width) is the view's end. */
+    TimeStamp edge(std::uint32_t x) const;
+
     TimeInterval view_;
     std::uint32_t width_;
     std::uint32_t height_;

@@ -23,7 +23,9 @@ struct RenderStats
 {
     std::uint64_t rectOps = 0;   ///< fillRect calls.
     std::uint64_t lineOps = 0;   ///< drawLine/drawVLine calls.
-    std::uint64_t eventsVisited = 0; ///< Trace events inspected.
+    /** Trace events inspected; a run of pixels one event covers
+     *  counts once. */
+    std::uint64_t eventsVisited = 0;
 
     /**
      * How the frame was resolved (base/resolution.h): exact per-event

@@ -57,6 +57,9 @@ void
 TimelineRenderer::prepareHeatmapRange(const TimelineConfig &config,
                                       const TimeInterval &view)
 {
+    // Only heatmap colors read the range; skip the task scan otherwise.
+    if (config.mode != TimelineMode::Heatmap)
+        return;
     if (config.heatmapMax != 0) {
         effectiveHeatMin_ = config.heatmapMin;
         effectiveHeatMax_ = config.heatmapMax;
@@ -170,51 +173,81 @@ TimelineRenderer::renderPyramidLane(const TimelineConfig &config,
                                     CpuId cpu, Framebuffer &fb)
 {
     const index::SummaryPyramid &pyramid = config.pyramids->get(cpu);
+    const std::vector<std::uint32_t> &states = pyramid.states();
+    const TimeStamp g0 = pyramid.leafGranularity();
+    const TimeStamp domain_end = g0 * pyramid.leafCount();
     const std::uint32_t top = layout.laneTop(cpu);
     const std::uint32_t height = layout.laneHeight();
     std::uint64_t nodes = 0;
 
-    struct Band
-    {
-        std::uint32_t state;
-        double exact;
-        std::uint32_t rows;
+    // A partially covered boundary leaf contributes its occupancy
+    // scaled by the covered fraction.
+    auto addPartialLeaf = [&](std::uint64_t leaf, TimeStamp covered) {
+        double fraction =
+            static_cast<double>(covered) / static_cast<double>(g0);
+        for (const index::SummaryPyramid::Occupancy &entry :
+             pyramid.leafOccupancy(leaf))
+            partialTime_[entry.slot] +=
+                static_cast<double>(entry.time) * fraction;
+        nodes++;
     };
-    std::vector<Band> bands;
+
     for (std::uint32_t x = 0; x < layout.width(); x++) {
-        TimeInterval pixel = layout.pixelInterval(x);
+        const TimeInterval pixel{edges_[x], edges_[x + 1]};
         if (pixel.empty()) {
             fb.fillRect(x, top, 1, height, laneBackground(cpu));
             stats_.rectOps++;
             continue;
         }
-        auto occupancy = pyramid.occupancyOver(pixel, nodes);
+        // Time per state slot over the pixel: whole leaves exactly from
+        // the pyramid, boundary leaves pro rata.
+        partialTime_.assign(states.size(), 0.0);
+        exactTime_.assign(states.size(), 0);
+        TimeStamp start = std::min(pixel.start, domain_end);
+        TimeStamp end = std::min(pixel.end, domain_end);
+        if (start < end && start % g0 != 0) {
+            // Leading partial leaf.
+            std::uint64_t leaf = start / g0;
+            TimeStamp leaf_end = (leaf + 1) * g0;
+            addPartialLeaf(leaf, std::min(end, leaf_end) - start);
+            start = std::min(leaf_end, end);
+        }
+        if (start < end && end % g0 != 0 && end / g0 >= start / g0) {
+            // Trailing partial leaf (distinct from the leading one here).
+            std::uint64_t leaf = end / g0;
+            addPartialLeaf(leaf, end - leaf * g0);
+            end = leaf * g0;
+        }
+        if (start < end)
+            pyramid.occupancy(start / g0, end / g0, exactTime_, nodes);
+
         // Share of the lane height per state, rows summing to the
         // covered share by largest-remainder rounding; uncovered time
-        // (idle between events) stays lane background.
-        bands.clear();
+        // (idle between events) stays lane background. Slots ascend
+        // with state ids, so bands come out in state order.
+        bands_.clear();
         double covered = 0.0;
         const double total = static_cast<double>(pixel.duration());
-        for (const auto &[state, time] : occupancy) {
+        for (std::size_t slot = 0; slot < states.size(); slot++) {
+            double time = partialTime_[slot] +
+                          static_cast<double>(exactTime_[slot]);
+            if (time == 0.0)
+                continue; // No node in the pixel holds this state.
             double share = std::min((time / total) *
                                         static_cast<double>(height),
                                     static_cast<double>(height));
-            bands.push_back(
-                {state, share, static_cast<std::uint32_t>(share)});
+            bands_.push_back(
+                {states[slot], share, static_cast<std::uint32_t>(share)});
             covered += share;
         }
-        std::sort(bands.begin(), bands.end(),
-                  [](const Band &a, const Band &b) {
-                      return a.state < b.state;
-                  });
         std::uint32_t covered_rows = static_cast<std::uint32_t>(
             std::min(covered + 0.5, static_cast<double>(height)));
         std::uint32_t assigned = 0;
-        for (const Band &b : bands)
+        for (const Band &b : bands_)
             assigned += b.rows;
         while (assigned < covered_rows) {
             Band *best = nullptr;
-            for (Band &b : bands) {
+            for (Band &b : bands_) {
                 double rem = b.exact - static_cast<double>(b.rows);
                 if (!best ||
                     rem > best->exact - static_cast<double>(best->rows))
@@ -226,7 +259,7 @@ TimelineRenderer::renderPyramidLane(const TimelineConfig &config,
             assigned++;
         }
         std::uint32_t y = top;
-        for (const Band &b : bands) {
+        for (const Band &b : bands_) {
             std::uint32_t rows =
                 std::min(b.rows, top + height - y);
             if (rows == 0)
@@ -254,11 +287,12 @@ TimelineRenderer::resolveInterval(const TimelineConfig &config, CpuId cpu,
 
     if (config.mode == TimelineMode::State) {
         // Predominant state: the state covering the largest share of the
-        // pixel interval (paper section VI-B.a).
-        // Small flat accumulation keyed by state id.
+        // pixel interval (paper section VI-B.a). Small flat accumulation
+        // keyed by state id, in a buffer reused across pixels.
         std::uint32_t best_state = 0;
         TimeStamp best_time = 0;
-        std::vector<std::pair<std::uint32_t, TimeStamp>> acc;
+        std::vector<std::pair<std::uint32_t, TimeStamp>> &acc = stateTime_;
+        acc.clear();
         for (std::size_t i = first; i < last; i++) {
             const trace::StateEvent &ev = states[i];
             stats_.eventsVisited++;
@@ -337,19 +371,62 @@ TimelineRenderer::resolveInterval(const TimelineConfig &config, CpuId cpu,
     return color.value_or(laneBackground(cpu));
 }
 
+std::uint32_t
+TimelineRenderer::fillRun(const TimelineConfig &config, CpuId cpu,
+                          const trace::StateEvent &ev, std::uint32_t x)
+{
+    // The event alone overlaps every pixel it covers, so its color is
+    // what resolveInterval would give each of them.
+    stats_.eventsVisited++;
+    const auto width = static_cast<std::uint32_t>(row_.size());
+    std::uint32_t end = x + 1;
+    while (end < width && edges_[end + 1] <= ev.interval.end)
+        end++;
+
+    const Rgba background = laneBackground(cpu);
+    const bool exec = ev.state == kTaskExecState &&
+                      ev.task != kInvalidTaskInstance;
+    const bool hidden = exec && !taskVisible(config, ev.task);
+    Rgba color = background;
+    std::optional<double> remote;
+    if (config.mode == TimelineMode::State) {
+        if (!hidden)
+            color = stateColor(ev.state);
+    } else if (exec && !hidden) {
+        if (config.mode == TimelineMode::NumaHeatmap)
+            remote = taskRemoteFraction(ev.task, cpu);
+        else
+            color = taskColor(config, ev.task).value_or(background);
+    }
+    for (std::uint32_t i = x; i < end; i++) {
+        const TimeStamp duration = edges_[i + 1] - edges_[i];
+        if (duration == 0) {
+            row_[i] = background;
+        } else if (remote) {
+            // The coverage-weighted mean of one task, rounded as
+            // resolveInterval rounds it.
+            const double w = static_cast<double>(duration);
+            row_[i] = numaHeatShade((w * *remote) / w);
+        } else {
+            row_[i] = color;
+        }
+    }
+    return end;
+}
+
 void
 TimelineRenderer::resolveLane(const TimelineConfig &config,
-                              const TimelineLayout &layout, CpuId cpu,
-                              std::vector<Rgba> &row)
+                              const TimelineLayout &layout, CpuId cpu)
 {
     const auto &states = trace_.cpu(cpu).states();
     trace::SliceRange slice = trace_.cpu(cpu).stateSlice(layout.view());
 
     std::size_t ptr = slice.first;
-    for (std::uint32_t x = 0; x < layout.width(); x++) {
-        TimeInterval pixel = layout.pixelInterval(x);
+    std::uint32_t x = 0;
+    while (x < layout.width()) {
+        const TimeInterval pixel{edges_[x], edges_[x + 1]};
         if (pixel.empty()) {
-            row[x] = laneBackground(cpu);
+            row_[x++] = laneBackground(cpu);
             continue;
         }
         // Advance past events entirely before this pixel; state ends are
@@ -357,10 +434,18 @@ TimelineRenderer::resolveLane(const TimelineConfig &config,
         while (ptr < slice.last &&
                states[ptr].interval.end <= pixel.start)
             ptr++;
+        if (ptr < slice.last && states[ptr].interval.start <= pixel.start &&
+            states[ptr].interval.end >= pixel.end) {
+            // One event covers the whole pixel: resolve the run of
+            // pixels it covers in one step.
+            x = fillRun(config, cpu, states[ptr], x);
+            continue;
+        }
         std::size_t end = ptr;
         while (end < slice.last && states[end].interval.start < pixel.end)
             end++;
-        row[x] = resolveInterval(config, cpu, states, ptr, end, pixel);
+        row_[x] = resolveInterval(config, cpu, states, ptr, end, pixel);
+        x++;
     }
 }
 
@@ -378,6 +463,7 @@ TimelineRenderer::render(const TimelineConfig &config, Framebuffer &fb)
     TimelineLayout layout(view, fb.width(), fb.height(),
                           trace_.numCpus());
     prepareHeatmapRange(config, view);
+    layout.pixelEdges(edges_);
 
     if (usePyramids(config, layout)) {
         stats_.resolution.exact = false;
@@ -388,9 +474,9 @@ TimelineRenderer::render(const TimelineConfig &config, Framebuffer &fb)
         return;
     }
 
-    std::vector<Rgba> row(layout.width());
+    row_.resize(layout.width());
     for (CpuId cpu = 0; cpu < trace_.numCpus(); cpu++) {
-        resolveLane(config, layout, cpu, row);
+        resolveLane(config, layout, cpu);
 
         // Aggregate runs of identical adjacent pixels into one rectangle
         // (paper section VI-B.b).
@@ -399,9 +485,9 @@ TimelineRenderer::render(const TimelineConfig &config, Framebuffer &fb)
         std::uint32_t x = 0;
         while (x < layout.width()) {
             std::uint32_t run_end = x + 1;
-            while (run_end < layout.width() && row[run_end] == row[x])
+            while (run_end < layout.width() && row_[run_end] == row_[x])
                 run_end++;
-            fb.fillRect(x, top, run_end - x, height, row[x]);
+            fb.fillRect(x, top, run_end - x, height, row_[x]);
             stats_.rectOps++;
             x = run_end;
         }

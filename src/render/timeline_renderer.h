@@ -8,6 +8,23 @@
  * optimizations (section VI-B): every pixel is drawn exactly once with the
  * predominant color of its interval, and runs of equal-colored adjacent
  * pixels are aggregated into single rectangle fills.
+ *
+ * A frame costs O(visible runs + boundary pixels), not O(pixels). The
+ * width + 1 pixel edges are computed once per frame and shared by
+ * every lane. When one state event covers a whole pixel it
+ * alone decides that pixel and every following pixel it also covers,
+ * so the whole run takes the event's color (or the lane background
+ * when the task filter hides it) in one step. Only the boundary pixels,
+ * where events meet, go through the per-event predominant-color
+ * resolution. RenderStats::eventsVisited therefore counts runs plus
+ * the events of boundary pixels. The image is bit-identical to
+ * resolving every pixel on its own, which resolvePixel does and the
+ * property tests compare against.
+ *
+ * Pyramid-backed State frames (TimelineConfig::resolution) read each
+ * pixel column's state occupancy from the flat summary pyramid
+ * (index/summary_pyramid.h) into per-slot buffers the renderer reuses,
+ * so neither path allocates per pixel.
  */
 
 #ifndef AFTERMATH_RENDER_TIMELINE_RENDERER_H
@@ -138,10 +155,21 @@ class TimelineRenderer
                            const TimelineLayout &layout, CpuId cpu,
                            Framebuffer &fb);
 
-    /** Resolve every pixel column color of one CPU lane. */
+    /**
+     * Resolve every pixel column color of one CPU lane into row_: a run
+     * of pixels one event covers whole in one step (fillRun), each
+     * remaining boundary pixel through resolveInterval.
+     */
     void resolveLane(const TimelineConfig &config,
-                     const TimelineLayout &layout, CpuId cpu,
-                     std::vector<Rgba> &row);
+                     const TimelineLayout &layout, CpuId cpu);
+
+    /**
+     * Color pixel @p x, which @p ev covers whole, and every following
+     * pixel @p ev also covers whole; returns the first pixel after the
+     * run.
+     */
+    std::uint32_t fillRun(const TimelineConfig &config, CpuId cpu,
+                          const trace::StateEvent &ev, std::uint32_t x);
 
     /** Predominant-color resolution over a slice of state events. */
     Rgba resolveInterval(const TimelineConfig &config, CpuId cpu,
@@ -174,6 +202,26 @@ class TimelineRenderer
 
     TimeStamp effectiveHeatMin_ = 0;
     TimeStamp effectiveHeatMax_ = 0;
+
+    /** One state's share of a pyramid pixel column. */
+    struct Band
+    {
+        std::uint32_t state;
+        double exact;
+        std::uint32_t rows;
+    };
+
+    // Per-frame buffers, reused across renders so a frame allocates
+    // nothing once the renderer is warm.
+    /** Pixel x covers [edges_[x], edges_[x + 1]). */
+    std::vector<TimeStamp> edges_;
+    std::vector<Rgba> row_; ///< One exact lane's pixel colors.
+    /** (state, time) sums of one boundary pixel. */
+    std::vector<std::pair<std::uint32_t, TimeStamp>> stateTime_;
+    std::vector<double> partialTime_; ///< Pyramid column, boundary leaves.
+    std::vector<TimeStamp> exactTime_; ///< Pyramid column, whole leaves.
+    std::vector<Band> bands_;          ///< Pyramid column bands.
+
     std::unordered_map<TaskInstanceId, Rgba> taskColorCache_;
     std::unordered_map<TaskInstanceId, double> remoteFractionCache_;
     std::unordered_map<TaskTypeId, std::size_t> typeIndexCache_;

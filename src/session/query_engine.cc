@@ -588,10 +588,17 @@ Session::submit(const IntervalStatsQuery &query)
                     out.interval = snapped;
                     std::uint64_t nodes = 0;
                     auto range = pyramids->leafRange(snapped);
-                    for (CpuId c = 0; c < trace->numCpus(); c++)
-                        pyramids->get(c).occupancy(
-                            range.first, range.second, out.timeInState,
-                            nodes);
+                    std::vector<TimeStamp> by_slot;
+                    for (CpuId c = 0; c < trace->numCpus(); c++) {
+                        const index::SummaryPyramid &p = pyramids->get(c);
+                        by_slot.assign(p.states().size(), 0);
+                        p.occupancy(range.first, range.second, by_slot,
+                                    nodes);
+                        for (std::size_t s = 0; s < by_slot.size(); s++)
+                            if (by_slot[s] != 0)
+                                out.timeInState[p.states()[s]] +=
+                                    by_slot[s];
+                    }
                     out.tasksStarted = pyramids->tasksStartedIn(snapped);
                     out.tasksOverlapping =
                         pyramids->tasksOverlapping(snapped);

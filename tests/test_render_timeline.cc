@@ -79,6 +79,68 @@ TEST_P(RendererProperty, FastPathMatchesPerPixelResolution)
     }
 }
 
+/**
+ * Every pixel of every lane equals resolvePixel, over views that put
+ * the run path to work: zoomed far in (one event spans many pixels),
+ * starting and ending mid-event, shorter than the width (empty
+ * pixels), and the whole span; each with and without a task filter.
+ */
+TEST_P(RendererProperty, RunPathMatchesPerPixelResolutionEverywhere)
+{
+    auto [seed, mode] = GetParam();
+    trace::Trace tr = randomTrace(seed);
+    const TimeInterval span = tr.span();
+    const auto &events = tr.cpu(0).states();
+    const trace::StateEvent &a = events[events.size() / 3];
+    const trace::StateEvent &b = events[events.size() / 2];
+    const std::vector<TimeInterval> views = {
+        span,
+        {span.start + span.duration() / 3,
+         span.start + span.duration() / 3 + span.duration() / 8},
+        {a.interval.start + a.interval.duration() / 2,
+         b.interval.start + b.interval.duration() / 2},
+        {span.start + span.duration() / 2,
+         span.start + span.duration() / 2 + 61},
+    };
+    filter::TaskTypeFilter only_alpha({0x1});
+
+    Framebuffer fb(173, 64);
+    TimelineRenderer renderer(tr);
+    for (const TimeInterval &view : views) {
+        for (const filter::TaskFilter *filter :
+             {static_cast<const filter::TaskFilter *>(nullptr),
+              static_cast<const filter::TaskFilter *>(&only_alpha)}) {
+            TimelineConfig config;
+            config.mode = mode;
+            config.view = view;
+            config.taskFilter = filter;
+            renderer.render(config, fb);
+            const std::uint64_t visited = renderer.stats().eventsVisited;
+
+            TimelineLayout layout(view, fb.width(), fb.height(),
+                                  tr.numCpus());
+            for (CpuId c = 0; c < tr.numCpus(); c++) {
+                for (std::uint32_t x = 0; x < fb.width(); x++) {
+                    Rgba expect = renderer.resolvePixel(config, layout, c, x);
+                    for (std::uint32_t y = layout.laneTop(c);
+                         y < layout.laneTop(c) + layout.laneHeight(); y++)
+                        ASSERT_EQ(fb.pixel(x, y), expect)
+                            << "view [" << view.start << ", " << view.end
+                            << ") filter " << (filter != nullptr)
+                            << " cpu " << c << " x " << x << " y " << y;
+                }
+            }
+            // Zoomed in, runs visit fewer events than resolving every
+            // pixel on its own does (resolvePixel adds to the stats).
+            const std::uint64_t resolved =
+                renderer.stats().eventsVisited - visited;
+            if (view.duration() <= span.duration() / 8) {
+                EXPECT_LT(visited, resolved);
+            }
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Modes, RendererProperty,
     ::testing::Combine(

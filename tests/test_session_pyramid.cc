@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -363,6 +365,190 @@ TEST(SummaryPyramid, RenderAtPixelsResolutionReportsProvenance)
         session.render(exact_config, exact_fb);
     EXPECT_TRUE(exact_stats.resolution.exact);
     EXPECT_EQ(exact_stats.resolution.granularityNs, 0u);
+}
+
+TEST(SummaryPyramid, FlatStoreMatchesBruteForceOverRandomLeafRanges)
+{
+    RandomTraceOptions opts;
+    opts.cpus = 3;
+    opts.counters = 3;
+    opts.statesPerCpu = 300;
+    for (std::uint64_t seed : {3ull, 19ull}) {
+        trace::Trace tr = buildRandomTrace(seed, opts);
+        index::TracePyramids pyramids(tr);
+        const TimeStamp g0 = pyramids.leafGranularity();
+        const std::uint64_t leaves = pyramids.leafCount();
+        ASSERT_GT(g0, 1u); // Leaf edges fall inside events.
+        Rng rng(seed + 5);
+        for (CpuId c = 0; c < tr.numCpus(); c++) {
+            const index::SummaryPyramid &p = pyramids.get(c);
+            const trace::CpuTimeline &tl = tr.cpu(c);
+            std::vector<CounterId> counters = tl.counterIds();
+            counters.push_back(1000); // Never sampled.
+            for (int trial = 0; trial < 60; trial++) {
+                std::uint64_t first = 0;
+                std::uint64_t last = leaves;
+                if (trial > 0) {
+                    first = rng.nextBounded(leaves + 1);
+                    last = first + rng.nextBounded(leaves + 1 - first);
+                }
+                const TimeInterval range{first * g0, last * g0};
+                std::uint64_t nodes = 0;
+
+                std::map<std::uint32_t, TimeStamp> expect_occupancy;
+                for (const trace::StateEvent &ev : tl.states())
+                    if (TimeStamp t = ev.interval.overlapDuration(range))
+                        expect_occupancy[ev.state] += t;
+                std::vector<TimeStamp> by_slot(p.states().size(), 0);
+                p.occupancy(first, last, by_slot, nodes);
+                std::map<std::uint32_t, TimeStamp> occupancy;
+                for (std::size_t slot = 0; slot < by_slot.size(); slot++)
+                    if (by_slot[slot] != 0)
+                        occupancy[p.states()[slot]] = by_slot[slot];
+                EXPECT_EQ(occupancy, expect_occupancy)
+                    << "leaves [" << first << ", " << last << ")";
+                EXPECT_EQ(nodes > 0, first < last);
+
+                for (CounterId counter : counters) {
+                    index::SummaryPyramid::CounterAggregate expect;
+                    for (const trace::CounterSample &sample :
+                         tl.counterSamples(counter)) {
+                        if (!range.contains(sample.time))
+                            continue;
+                        if (expect.count == 0) {
+                            expect.min = expect.max = sample.value;
+                        }
+                        expect.min = std::min(expect.min, sample.value);
+                        expect.max = std::max(expect.max, sample.value);
+                        expect.sum = static_cast<std::int64_t>(
+                            static_cast<std::uint64_t>(expect.sum) +
+                            static_cast<std::uint64_t>(sample.value));
+                        expect.count++;
+                    }
+                    index::SummaryPyramid::CounterAggregate got =
+                        p.counterAggregate(counter, first, last, nodes);
+                    EXPECT_EQ(got.count, expect.count) << counter;
+                    if (expect.count > 0) {
+                        EXPECT_EQ(got.min, expect.min) << counter;
+                        EXPECT_EQ(got.max, expect.max) << counter;
+                        EXPECT_EQ(got.sum, expect.sum) << counter;
+                    }
+                }
+
+                std::uint64_t expect_tasks = 0;
+                for (const trace::TaskInstance &task : tr.taskInstances())
+                    if (task.cpu == c && range.contains(task.interval.start))
+                        expect_tasks++;
+                EXPECT_EQ(p.tasksStarted(first, last, nodes), expect_tasks);
+            }
+        }
+    }
+}
+
+TEST(SummaryPyramid, PixelsRenderColumnsMatchBandsFromStateEvents)
+{
+    RandomTraceOptions opts;
+    opts.cpus = 4;
+    opts.statesPerCpu = 600;
+    trace::Trace tr = buildRandomTrace(61, opts);
+    Session session = Session::view(tr);
+    const std::uint32_t width = 97;
+    render::Framebuffer fb(width, 64);
+    render::TimelineConfig config;
+    config.view = tr.span();
+    config.resolution = Resolution::pixels(width);
+    ASSERT_FALSE(session.render(config, fb).resolution.exact);
+
+    const index::TracePyramids &pyramids = *session.pyramids();
+    const TimeStamp g0 = pyramids.leafGranularity();
+    const TimeStamp domain_end = pyramids.domainEnd();
+    ASSERT_GT(g0, 1u); // Pixel edges fall inside leaves.
+    render::TimelineLayout layout(tr.span(), fb.width(), fb.height(),
+                                  tr.numCpus());
+    for (CpuId c = 0; c < tr.numCpus(); c++) {
+        const auto &events = tr.cpu(c).states();
+        // Time per state of the events inside [start, end).
+        auto statesIn = [&](TimeStamp start, TimeStamp end) {
+            std::map<std::uint32_t, TimeStamp> out;
+            for (const trace::StateEvent &ev : events)
+                if (TimeStamp t = ev.interval.overlapDuration({start, end}))
+                    out[ev.state] += t;
+            return out;
+        };
+        const render::Rgba background =
+            c % 2 ? render::kBackgroundAlt : render::kBackground;
+        const std::uint32_t top = layout.laneTop(c);
+        const std::uint32_t height = layout.laneHeight();
+        for (std::uint32_t x = 0; x < width; x++) {
+            const TimeInterval pixel = layout.pixelInterval(x);
+            // Whole leaves count exactly, a boundary leaf pro rata.
+            std::map<std::uint32_t, double> partial;
+            std::map<std::uint32_t, TimeStamp> whole;
+            auto addPartial = [&](std::uint64_t leaf, TimeStamp covered) {
+                double fraction = static_cast<double>(covered) /
+                                  static_cast<double>(g0);
+                for (const auto &[state, t] :
+                     statesIn(leaf * g0, (leaf + 1) * g0))
+                    partial[state] += static_cast<double>(t) * fraction;
+            };
+            TimeStamp start = std::min(pixel.start, domain_end);
+            TimeStamp end = std::min(pixel.end, domain_end);
+            if (start < end && start % g0 != 0) {
+                TimeStamp leaf_end = (start / g0 + 1) * g0;
+                addPartial(start / g0, std::min(end, leaf_end) - start);
+                start = std::min(leaf_end, end);
+            }
+            if (start < end && end % g0 != 0) {
+                addPartial(end / g0, end % g0);
+                end = end / g0 * g0;
+            }
+            if (start < end)
+                whole = statesIn(start, end);
+
+            // Bands in state order, largest-remainder rows.
+            struct Band
+            {
+                std::uint32_t state;
+                double share;
+                std::uint32_t rows;
+            };
+            std::vector<Band> bands;
+            std::map<std::uint32_t, double> time = partial;
+            for (const auto &[state, t] : whole)
+                time[state];
+            double covered = 0.0;
+            for (const auto &[state, t] : time) {
+                double share = std::min(
+                    (t + static_cast<double>(whole[state])) /
+                        static_cast<double>(pixel.duration()) * height,
+                    static_cast<double>(height));
+                bands.push_back(
+                    {state, share, static_cast<std::uint32_t>(share)});
+                covered += share;
+            }
+            std::uint32_t rows = 0;
+            for (const Band &b : bands)
+                rows += b.rows;
+            const auto covered_rows = static_cast<std::uint32_t>(
+                std::min(covered + 0.5, static_cast<double>(height)));
+            for (; rows < covered_rows; rows++) {
+                Band *best = &bands.front();
+                for (Band &b : bands)
+                    if (b.share - b.rows > best->share - best->rows)
+                        best = &b;
+                best->rows++;
+            }
+            std::vector<render::Rgba> column;
+            for (const Band &b : bands)
+                column.insert(column.end(), b.rows,
+                              render::stateColor(b.state));
+            column.resize(height, background);
+
+            for (std::uint32_t r = 0; r < height; r++)
+                ASSERT_EQ(fb.pixel(x, top + r), column[r])
+                    << "cpu " << c << " x " << x << " row " << r;
+        }
+    }
 }
 
 TEST(SummaryPyramid, ThreadPoolRunsOneHighPriorityTaskOnDonorThread)
