@@ -453,8 +453,6 @@ void
 TimelineRenderer::render(const TimelineConfig &config, Framebuffer &fb)
 {
     stats_.reset();
-    taskColorCache_.clear();
-    remoteFractionCache_.clear();
 
     fb.clear(kBackground);
     TimeInterval view = config.view.empty() ? trace_.span() : config.view;
@@ -463,6 +461,12 @@ TimelineRenderer::render(const TimelineConfig &config, Framebuffer &fb)
     TimelineLayout layout(view, fb.width(), fb.height(),
                           trace_.numCpus());
     prepareHeatmapRange(config, view);
+    ColorKey key{config.mode, effectiveHeatMin_, effectiveHeatMax_,
+                 config.heatmapShades};
+    if (colorKey_ != key) {
+        taskColorCache_.clear();
+        colorKey_ = key;
+    }
     layout.pixelEdges(edges_);
 
     if (usePyramids(config, layout)) {
@@ -499,6 +503,7 @@ TimelineRenderer::renderNaive(const TimelineConfig &config, Framebuffer &fb)
 {
     stats_.reset();
     taskColorCache_.clear();
+    colorKey_.reset();
     remoteFractionCache_.clear();
 
     fb.clear(kBackground);
@@ -561,6 +566,7 @@ TimelineRenderer::resolvePixel(const TimelineConfig &config,
                                std::uint32_t x)
 {
     taskColorCache_.clear();
+    colorKey_.reset();
     remoteFractionCache_.clear();
     prepareHeatmapRange(config, layout.view());
 

@@ -222,7 +222,22 @@ class TimelineRenderer
     std::vector<TimeStamp> exactTime_; ///< Pyramid column, whole leaves.
     std::vector<Band> bands_;          ///< Pyramid column bands.
 
+    /** What taskColor() results depend on besides the trace. */
+    struct ColorKey
+    {
+        TimelineMode mode;
+        TimeStamp heatMin;
+        TimeStamp heatMax;
+        std::uint32_t shades;
+
+        bool operator==(const ColorKey &) const = default;
+    };
+
+    // Caches kept across frames: task colors while colorKey_ holds
+    // (render() clears them when it changes), remote fractions for the
+    // renderer's life (they depend on the bound trace only).
     std::unordered_map<TaskInstanceId, Rgba> taskColorCache_;
+    std::optional<ColorKey> colorKey_;
     std::unordered_map<TaskInstanceId, double> remoteFractionCache_;
     std::unordered_map<TaskTypeId, std::size_t> typeIndexCache_;
 };

@@ -68,12 +68,13 @@ namespace session {
 /**
  * Scheduling class of one submitted query on the engine's two-level
  * queue. Interactive queries jump ahead of every queued Background
- * task, and running Background fan-out jobs (interval statistics,
- * warm-up) yield their workers cooperatively at chunk boundaries when
- * Interactive work arrives. Every spec's QueryContext carries a
- * default matching its role, and callers can override it per
- * submission (e.g. a speculative prefetch of the next view's stats
- * submits an IntervalStatsQuery at Background).
+ * task, and running Background fan-out queries (interval statistics,
+ * warm-up, anomaly scan, pyramid build) yield their workers
+ * cooperatively at unit boundaries when Interactive work arrives.
+ * Every spec's QueryContext carries a default matching its role, and
+ * callers can override it per submission (e.g. a speculative prefetch
+ * of the next view's stats submits an IntervalStatsQuery at
+ * Background).
  */
 enum class QueryPriority
 {

@@ -1,14 +1,27 @@
 /**
  * @file
- * The executors of the asynchronous query plane: Session::submit()
- * overloads and the worker-side code they fan out.
+ * The executors of the asynchronous query plane: the Session::submit()
+ * overloads and the two shapes every query runs in.
+ *
+ *  - A single-task query goes through submitTask(): one tracked pool
+ *    task that marks the ticket running, cancels it if it went stale
+ *    while queued, and otherwise runs the query's body. cancel() on a
+ *    still-queued task dequeues it at once.
+ *  - A fan-out query goes through submitFanOut(): a FanOutJob of
+ *    independent units claimed through one atomic cursor by up to one
+ *    drainer task per worker. FanOutJob is the one place the
+ *    cancel/yield/merge contract lives: drainers poll staleness before
+ *    every claim, background drainers hand their worker to queued
+ *    interactive work at the same boundary, and the last drainer out
+ *    cancels the ticket or builds the result from the per-unit partials
+ *    in unit order. Results are therefore bit-identical at every worker
+ *    count and across yields.
  *
  * Executors capture shared ownership of everything they read — the
- * trace, the sharded index cache, filter snapshots, the SessionMemo —
- * and never the Session itself, so sessions stay movable and
- * destruction is safe with queries in flight. No executor ever blocks
- * on the pool (fan-out queries decompose into independent chunk tasks
- * joined by an atomic countdown), so a 1-worker pool cannot deadlock.
+ * trace, the sharded index cache, filter snapshots, the memos — and
+ * never the Session itself, so sessions stay movable and destruction is
+ * safe with queries in flight. No executor ever blocks on the pool, so
+ * a 1-worker pool cannot deadlock.
  */
 
 #include "session/query_engine.h"
@@ -154,6 +167,7 @@ QueryEngine::reaperLoop()
     }
 }
 
+
 namespace {
 
 /** The pool scheduling class of one query priority. */
@@ -165,14 +179,34 @@ toTaskPriority(QueryPriority priority)
         : base::TaskPriority::Normal;
 }
 
-/** Fresh ticket state snapshotting the driving domain's generation. */
+/** Which mutations of the driving domain make a query stale. */
+enum class Staleness
+{
+    /** Every view, filter or trace mutation (view-dependent queries). */
+    View,
+
+    /** Filter and trace mutations only: panning never cancels. */
+    Filter,
+
+    /** None; explicit cancel only (products keyed by nothing mutable). */
+    Immune,
+};
+
+/** Fresh ticket state snapshotting the domain counter of @p scope. */
 template <typename Result>
 std::shared_ptr<detail::TicketState<Result>>
-newTicketState(const GenerationDomain &domain)
+newTicketState(const GenerationDomain &domain,
+               Staleness scope = Staleness::View)
 {
     auto state = std::make_shared<detail::TicketState<Result>>();
-    state->generation = domain.generation();
-    state->live = domain.generationCell();
+    if (scope == Staleness::Filter) {
+        state->generation = domain.filterGeneration();
+        state->live = domain.filterGenerationCell();
+    } else {
+        state->generation = domain.generation();
+        if (scope == Staleness::View)
+            state->live = domain.generationCell();
+    }
     return state;
 }
 
@@ -185,6 +219,217 @@ completedTicket(const GenerationDomain &domain, Result value)
     state->status = QueryStatus::Done;
     state->result.emplace(std::move(value));
     return QueryTicket<Result>(std::move(state));
+}
+
+/**
+ * Run @p body as one tracked pool task. Once running and not yet stale,
+ * body(state, pool) returns the result, or nullopt when it saw the
+ * ticket go stale mid-way; @p pool is the executing pool. The tracked
+ * handle lets cancel() dequeue a task that has not started.
+ */
+template <typename Result, typename Body>
+QueryTicket<Result>
+submitTask(QueryEngine &engine,
+           std::shared_ptr<detail::TicketState<Result>> state,
+           QueryPriority priority, Body body)
+{
+    base::TaskHandle handle;
+    engine.withPool([&](base::ThreadPool &pool) {
+        handle = pool.submitTracked(
+            [state, body = std::move(body), executing = &pool] {
+                state->markRunning();
+                if (state->stale()) {
+                    state->completeCancelled();
+                    return;
+                }
+                std::optional<Result> result = body(*state, *executing);
+                if (result)
+                    state->complete(std::move(*result));
+                else
+                    state->completeCancelled();
+            },
+            toTaskPriority(priority));
+    });
+    {
+        base::MutexLock lock(state->mutex);
+        state->handle = handle;
+    }
+    return QueryTicket<Result>(std::move(state));
+}
+
+/**
+ * One fan-out query: @c units independent units claimed by drainer
+ * tasks through an atomic cursor. run(i) executes unit i, writing its
+ * partial into storage indexed by i, and returns false to abandon the
+ * job. finish() builds the result from the partials in unit order once
+ * every unit ran, so the result never depends on which worker ran
+ * which unit.
+ */
+template <typename Result>
+struct FanOutJob
+{
+    std::shared_ptr<detail::TicketState<Result>> ticket;
+    std::size_t units = 0;
+    std::function<bool(std::size_t)> run;
+    std::function<Result()> finish;
+
+    /** The executing pool; valid for every drainer run (a drainer only
+     *  runs on this pool, and the pool drains before it dies). */
+    base::ThreadPool *pool = nullptr;
+
+    /** Background jobs yield at unit boundaries; interactive never. */
+    bool background = false;
+
+    std::atomic<std::size_t> next{0};   ///< The claim cursor.
+    std::atomic<std::size_t> active{0}; ///< Drainers still out.
+    std::atomic<bool> abandoned{false};
+};
+
+/**
+ * One drainer: claim units until none is left, the ticket went stale,
+ * or a unit abandoned the job. When interactive work is queued, a
+ * background drainer re-submits itself at Background priority and
+ * frees its worker; the continuation keeps the drainer's slot in
+ * @c active and resumes at the cursor, so the yield is invisible in
+ * the result. The last drainer out (the acq_rel countdown orders every
+ * unit's writes before it) cancels the ticket or completes it.
+ */
+template <typename Result>
+void
+drainFanOut(const std::shared_ptr<FanOutJob<Result>> &job)
+{
+    detail::TicketState<Result> &ticket = *job->ticket;
+    ticket.markRunning();
+    for (;;) {
+        if (ticket.stale()) {
+            job->abandoned.store(true, std::memory_order_relaxed);
+            break;
+        }
+        if (job->background && job->pool->hasHighPriorityWork()) {
+            job->pool->submit([job] { drainFanOut(job); },
+                              base::TaskPriority::Normal);
+            return;
+        }
+        std::size_t i = job->next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= job->units)
+            break;
+        if (!job->run(i)) {
+            job->abandoned.store(true, std::memory_order_relaxed);
+            break;
+        }
+    }
+    if (job->active.fetch_sub(1, std::memory_order_acq_rel) != 1)
+        return;
+    if (job->abandoned.load(std::memory_order_relaxed) || ticket.stale()) {
+        ticket.completeCancelled();
+        return;
+    }
+    ticket.complete(job->finish());
+}
+
+/**
+ * Run @p units units of @p run as a FanOutJob with one drainer per
+ * worker (at most one per unit). Zero units complete the ticket inline
+ * with finish().
+ */
+template <typename Result>
+QueryTicket<Result>
+submitFanOut(QueryEngine &engine,
+             std::shared_ptr<detail::TicketState<Result>> state,
+             QueryPriority priority, std::size_t units,
+             std::function<bool(std::size_t)> run,
+             std::function<Result()> finish)
+{
+    if (units == 0) {
+        state->complete(finish());
+        return QueryTicket<Result>(std::move(state));
+    }
+    auto job = std::make_shared<FanOutJob<Result>>();
+    job->ticket = state;
+    job->units = units;
+    job->run = std::move(run);
+    job->finish = std::move(finish);
+    job->background = priority == QueryPriority::Background;
+    const std::size_t drainers = std::max<std::size_t>(
+        1, std::min<std::size_t>(engine.workers(), units));
+    job->active.store(drainers, std::memory_order_relaxed);
+    engine.withPool([&](base::ThreadPool &pool) {
+        job->pool = &pool;
+        for (std::size_t d = 0; d < drainers; d++)
+            pool.submit([job] { drainFanOut(job); },
+                        toTaskPriority(priority));
+    });
+    return QueryTicket<Result>(std::move(state));
+}
+
+/**
+ * The units of one exact interval-statistics scan, shared by the stats
+ * query and warm-up: one unit per CPU's states, then the task array in
+ * chunks. Every quantity is an exact integer sum, so merge() equals the
+ * serial scan bit for bit at any worker count.
+ */
+struct StatsScan
+{
+    StatsScan(std::shared_ptr<const trace::Trace> scanned,
+              TimeInterval scanned_interval, unsigned workers)
+        : trace(std::move(scanned)), interval(scanned_interval)
+    {
+        const std::size_t instances = trace->taskInstances().size();
+        std::size_t task_chunks = 0;
+        if (instances > 0) {
+            // Enough task chunks to load every worker a few times over,
+            // but no micro-chunks: the claim cursor should stay noise.
+            taskChunkSize = std::max<std::size_t>(
+                4096, instances / (static_cast<std::size_t>(workers) * 4));
+            task_chunks = (instances + taskChunkSize - 1) / taskChunkSize;
+        }
+        partials.resize(trace->numCpus() + task_chunks);
+    }
+
+    std::size_t units() const { return partials.size(); }
+
+    /** Scan unit @p i into partials[i]. */
+    void
+    run(std::size_t i)
+    {
+        const std::size_t cpus = trace->numCpus();
+        if (i < cpus) {
+            partials[i] = stats::intervalStateChunk(
+                trace->cpu(static_cast<CpuId>(i)), interval);
+            return;
+        }
+        const auto &instances = trace->taskInstances();
+        std::size_t begin = (i - cpus) * taskChunkSize;
+        std::size_t end = std::min(instances.size(), begin + taskChunkSize);
+        partials[i] = stats::intervalTaskChunk(
+            instances.data() + begin, instances.data() + end, interval);
+    }
+
+    /** The partials merged in unit order. */
+    stats::IntervalStats
+    merge() const
+    {
+        stats::IntervalStats merged;
+        merged.interval = interval;
+        for (const stats::IntervalStats &partial : partials)
+            merged.mergeFrom(partial);
+        return merged;
+    }
+
+    std::shared_ptr<const trace::Trace> trace;
+    TimeInterval interval;
+    std::size_t taskChunkSize = 1;
+    std::vector<stats::IntervalStats> partials;
+};
+
+/** Publish exact statistics into the memo under their interval. */
+void
+publishStats(StatsMemo &memo, const stats::IntervalStats &result)
+{
+    base::MutexLock lock(memo.mutex);
+    memo.stats.insertOrGet(
+        std::make_pair(result.interval.start, result.interval.end),
+        stats::IntervalStats(result));
 }
 
 /**
@@ -226,334 +471,6 @@ publishTaskList(SessionMemo &memo, std::uint64_t filter_generation,
         std::vector<const trace::TaskInstance *>(list));
 }
 
-// -- Interval statistics (parallel fan-out) ------------------------------
-
-/**
- * One cold interval-statistics scan decomposed into per-CPU state
- * chunks plus task-array chunks. Drainer tasks claim chunks through an
- * atomic cursor; the last drainer out merges the partials in chunk
- * order and completes (or cancels) the ticket. All sums are exact
- * integers, so the merged result is bit-identical to the serial scan
- * at any worker count.
- */
-struct StatsJob
-{
-    std::shared_ptr<detail::TicketState<stats::IntervalStats>> ticket;
-    std::shared_ptr<const trace::Trace> trace;
-    std::shared_ptr<StatsMemo> memo;
-    TimeInterval interval;
-    std::size_t cpuChunks = 0;
-    std::size_t taskChunks = 0;
-    std::size_t taskChunkSize = 1;
-    std::vector<stats::IntervalStats> partials;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> active{0};
-    std::atomic<bool> abandoned{false};
-
-    /** The executing pool; valid for every drainer run (a drainer only
-     *  runs on this pool, and the pool drains before it dies). */
-    base::ThreadPool *pool = nullptr;
-
-    /** Background jobs yield at chunk boundaries; interactive never. */
-    bool background = false;
-};
-
-void drainStats(const std::shared_ptr<StatsJob> &job);
-
-/**
- * The cooperative yield of one background drainer: when interactive
- * work is queued, re-submit the continuation at Background priority
- * and free this worker for the High task. The claim cursor makes the
- * hand-off invisible — the continuation resumes exactly where the job
- * left off, so results stay bit-identical to an uninterrupted run.
- * Returns true when the caller must return *without* touching the
- * job's active count (the continuation still owns its slot).
- */
-template <typename Job>
-bool
-yieldForInteractive(const std::shared_ptr<Job> &job,
-                    void (*drain)(const std::shared_ptr<Job> &))
-{
-    if (!job->background || !job->pool->hasHighPriorityWork())
-        return false;
-    job->pool->submit([job, drain] { drain(job); },
-                      base::TaskPriority::Normal);
-    return true;
-}
-
-void
-drainStats(const std::shared_ptr<StatsJob> &job)
-{
-    job->ticket->markRunning();
-    const std::size_t total = job->cpuChunks + job->taskChunks;
-    for (;;) {
-        if (job->ticket->stale()) {
-            job->abandoned.store(true, std::memory_order_relaxed);
-            break;
-        }
-        if (yieldForInteractive(job, drainStats))
-            return;
-        std::size_t i = job->next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= total)
-            break;
-        if (i < job->cpuChunks) {
-            job->partials[i] = stats::intervalStateChunk(
-                job->trace->cpu(static_cast<CpuId>(i)), job->interval);
-        } else {
-            const auto &instances = job->trace->taskInstances();
-            std::size_t begin = (i - job->cpuChunks) * job->taskChunkSize;
-            std::size_t end =
-                std::min(instances.size(), begin + job->taskChunkSize);
-            job->partials[i] = stats::intervalTaskChunk(
-                instances.data() + begin, instances.data() + end,
-                job->interval);
-        }
-    }
-    if (job->active.fetch_sub(1, std::memory_order_acq_rel) != 1)
-        return;
-    // Last drainer out: merge, publish, complete.
-    if (job->abandoned.load(std::memory_order_relaxed) ||
-        job->ticket->stale()) {
-        job->ticket->completeCancelled();
-        return;
-    }
-    stats::IntervalStats merged;
-    merged.interval = job->interval;
-    for (const stats::IntervalStats &partial : job->partials)
-        merged.mergeFrom(partial);
-    {
-        base::MutexLock lock(job->memo->mutex);
-        job->memo->stats.insertOrGet(
-            std::make_pair(job->interval.start, job->interval.end),
-            stats::IntervalStats(merged));
-    }
-    job->ticket->complete(std::move(merged));
-}
-
-// -- Warm-up (parallel fan-out, generation-immune) -----------------------
-
-/**
- * One incremental warm-up: the not-yet-warmed (cpu, counter) pairs as
- * independent index-build units, plus optional interval-statistics and
- * task-list units. Unit claiming and completion mirror StatsJob.
- */
-struct WarmupJob
-{
-    std::shared_ptr<detail::TicketState<WarmupStats>> ticket;
-    std::shared_ptr<const trace::Trace> trace;
-    std::shared_ptr<CounterIndexCache> cache;
-    std::shared_ptr<StatsMemo> statsMemo;
-    std::shared_ptr<SessionMemo> memo;
-    std::shared_ptr<const filter::FilterSet> filters;
-    std::vector<std::pair<CpuId, CounterId>> pairs;
-    bool doStats = false;
-    bool doTaskList = false;
-    TimeInterval statsInterval;
-    std::uint64_t filterGeneration = 0;
-    WarmupStats stats;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> active{0};
-    std::atomic<std::size_t> built{0}; ///< Indexes this job constructed.
-    std::atomic<bool> abandoned{false};
-
-    /** See StatsJob::pool / StatsJob::background. */
-    base::ThreadPool *pool = nullptr;
-    bool background = false;
-};
-
-void
-drainWarmup(const std::shared_ptr<WarmupJob> &job)
-{
-    job->ticket->markRunning();
-    const std::size_t pair_units = job->pairs.size();
-    const std::size_t stats_unit = pair_units;
-    const std::size_t list_unit = pair_units + (job->doStats ? 1 : 0);
-    const std::size_t total = list_unit + (job->doTaskList ? 1 : 0);
-    for (;;) {
-        if (job->ticket->stale()) {
-            job->abandoned.store(true, std::memory_order_relaxed);
-            break;
-        }
-        if (yieldForInteractive(job, drainWarmup))
-            return;
-        std::size_t i = job->next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= total)
-            break;
-        if (i < pair_units) {
-            bool constructed = false;
-            job->cache->get(job->pairs[i].first, job->pairs[i].second,
-                            &constructed);
-            // Per-call attribution: concurrent non-warm-up queries
-            // building indexes never inflate this job's count.
-            if (constructed)
-                job->built.fetch_add(1, std::memory_order_relaxed);
-        } else if (job->doStats && i == stats_unit) {
-            // One serial scan (warm-up is already off the interactive
-            // path; the pairs dominate the work).
-            stats::IntervalStats merged;
-            merged.interval = job->statsInterval;
-            for (CpuId c = 0; c < job->trace->numCpus(); c++)
-                merged.mergeFrom(stats::intervalStateChunk(
-                    job->trace->cpu(c), job->statsInterval));
-            const auto &instances = job->trace->taskInstances();
-            merged.mergeFrom(stats::intervalTaskChunk(
-                instances.data(), instances.data() + instances.size(),
-                job->statsInterval));
-            base::MutexLock lock(job->statsMemo->mutex);
-            job->statsMemo->stats.insertOrGet(
-                std::make_pair(job->statsInterval.start,
-                               job->statsInterval.end),
-                std::move(merged));
-        } else {
-            auto list =
-                scanTaskList(*job->trace, *job->filters, *job->ticket);
-            if (!list) {
-                job->abandoned.store(true, std::memory_order_relaxed);
-                break;
-            }
-            publishTaskList(*job->memo, job->filterGeneration, *list);
-        }
-    }
-    if (job->active.fetch_sub(1, std::memory_order_acq_rel) != 1)
-        return;
-    if (job->abandoned.load(std::memory_order_relaxed) ||
-        job->ticket->stale()) {
-        // Cancelled mid-way: indexes already built stay cached (they
-        // answer lazily), but nothing is recorded as warmed, so the
-        // next warm-up revisits cheaply.
-        job->ticket->completeCancelled();
-        return;
-    }
-    WarmupStats stats = job->stats;
-    stats.indexesBuilt = job->built.load(std::memory_order_relaxed);
-    {
-        base::MutexLock lock(job->statsMemo->mutex);
-        job->statsMemo->warmedPairs.insert(job->pairs.begin(),
-                                           job->pairs.end());
-    }
-    job->ticket->complete(stats);
-}
-
-// -- Anomaly scan (parallel fan-out) -------------------------------------
-
-/**
- * One anomaly scan decomposed into the detector chunks of
- * stats::anomalyScanChunks(): per-CPU idle chunks, per-task-type
- * outlier chunks, per-(cpu, counter) burst chunks. Claiming, yielding
- * and completion mirror StatsJob; the last drainer merges the partials
- * in chunk order through stats::mergeAnomalyChunks(), so the ranked
- * list is bit-identical to the serial scanner at any worker count.
- */
-struct AnomalyScanJob
-{
-    std::shared_ptr<detail::TicketState<std::vector<stats::Anomaly>>>
-        ticket;
-    std::shared_ptr<const trace::Trace> trace;
-    std::shared_ptr<const filter::FilterSet> filters;
-    stats::AnomalyScanOptions options;
-    TimeInterval interval;
-    std::vector<stats::AnomalyScanChunk> chunks;
-    std::vector<stats::AnomalyChunkResult> partials;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> active{0};
-    std::atomic<bool> abandoned{false};
-
-    /** See StatsJob::pool / StatsJob::background. */
-    base::ThreadPool *pool = nullptr;
-    bool background = false;
-};
-
-void
-drainAnomalies(const std::shared_ptr<AnomalyScanJob> &job)
-{
-    job->ticket->markRunning();
-    const std::size_t total = job->chunks.size();
-    for (;;) {
-        if (job->ticket->stale()) {
-            job->abandoned.store(true, std::memory_order_relaxed);
-            break;
-        }
-        if (yieldForInteractive(job, drainAnomalies))
-            return;
-        std::size_t i = job->next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= total)
-            break;
-        job->partials[i] = stats::runAnomalyChunk(
-            *job->trace, job->chunks[i], job->options, job->interval,
-            job->filters.get());
-    }
-    if (job->active.fetch_sub(1, std::memory_order_acq_rel) != 1)
-        return;
-    if (job->abandoned.load(std::memory_order_relaxed) ||
-        job->ticket->stale()) {
-        job->ticket->completeCancelled();
-        return;
-    }
-    job->ticket->complete(stats::mergeAnomalyChunks(
-        *job->trace, job->chunks, std::move(job->partials), job->options,
-        job->interval));
-}
-
-// -- Pyramid build (parallel fan-out, generation-immune) -----------------
-
-/**
- * One pyramid build: every CPU as an independent build unit, claimed
- * through the usual atomic cursor. A unit calls TracePyramids::get(),
- * which builds under the CPU's shard lock — builds for different CPUs
- * never contend, and a CPU whose pyramid a concurrent resolution-
- * bearing query already built is attributed to that query, not this
- * job (the @p built out-parameter is decided under the shard lock).
- */
-struct PyramidJob
-{
-    std::shared_ptr<detail::TicketState<PyramidBuildStats>> ticket;
-    std::shared_ptr<const trace::Trace> trace;
-    std::shared_ptr<index::TracePyramids> pyramids;
-    PyramidBuildStats stats;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> active{0};
-    std::atomic<std::size_t> built{0}; ///< Pyramids this job constructed.
-    std::atomic<bool> abandoned{false};
-
-    /** See StatsJob::pool / StatsJob::background. */
-    base::ThreadPool *pool = nullptr;
-    bool background = false;
-};
-
-void
-drainPyramids(const std::shared_ptr<PyramidJob> &job)
-{
-    job->ticket->markRunning();
-    const std::size_t total = job->trace->numCpus();
-    for (;;) {
-        if (job->ticket->stale()) {
-            job->abandoned.store(true, std::memory_order_relaxed);
-            break;
-        }
-        if (yieldForInteractive(job, drainPyramids))
-            return;
-        std::size_t i = job->next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= total)
-            break;
-        bool constructed = false;
-        job->pyramids->get(static_cast<CpuId>(i), &constructed);
-        if (constructed)
-            job->built.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (job->active.fetch_sub(1, std::memory_order_acq_rel) != 1)
-        return;
-    if (job->abandoned.load(std::memory_order_relaxed) ||
-        job->ticket->stale()) {
-        // Pyramids already built stay cached (queries answer from them
-        // lazily); the next build revisits the remaining CPUs cheaply.
-        job->ticket->completeCancelled();
-        return;
-    }
-    PyramidBuildStats stats = job->stats;
-    stats.cpusBuilt = job->built.load(std::memory_order_relaxed);
-    job->ticket->complete(stats);
-}
-
 } // namespace
 
 // -- Session::submit overloads -------------------------------------------
@@ -572,48 +489,32 @@ Session::submit(const IntervalStatsQuery &query)
         TimeInterval snapped = pyramids_->snap(interval, granularity);
         const bool exact = snapped.start == interval.start &&
                            snapped.end == interval.end;
-        auto state = newTicketState<stats::IntervalStats>(*domain_);
-        auto trace = trace_;
-        auto pyramids = pyramids_;
-        base::TaskHandle handle;
-        engine_->withPool([&](base::ThreadPool &pool) {
-            handle = pool.submitTracked(
-                [state, trace, pyramids, snapped, granularity, exact] {
-                    state->markRunning();
-                    if (state->stale()) {
-                        state->completeCancelled();
-                        return;
-                    }
-                    stats::IntervalStats out;
-                    out.interval = snapped;
-                    std::uint64_t nodes = 0;
-                    auto range = pyramids->leafRange(snapped);
-                    std::vector<TimeStamp> by_slot;
-                    for (CpuId c = 0; c < trace->numCpus(); c++) {
-                        const index::SummaryPyramid &p = pyramids->get(c);
-                        by_slot.assign(p.states().size(), 0);
-                        p.occupancy(range.first, range.second, by_slot,
-                                    nodes);
-                        for (std::size_t s = 0; s < by_slot.size(); s++)
-                            if (by_slot[s] != 0)
-                                out.timeInState[p.states()[s]] +=
-                                    by_slot[s];
-                    }
-                    out.tasksStarted = pyramids->tasksStartedIn(snapped);
-                    out.tasksOverlapping =
-                        pyramids->tasksOverlapping(snapped);
-                    out.resolution.exact = exact;
-                    out.resolution.nodesTouched = nodes;
-                    out.resolution.granularityNs = granularity;
-                    state->complete(std::move(out));
-                },
-                toTaskPriority(query.context.priority));
-        });
-        {
-            base::MutexLock lock(state->mutex);
-            state->handle = handle;
-        }
-        return QueryTicket<stats::IntervalStats>(std::move(state));
+        return submitTask(
+            *engine_, newTicketState<stats::IntervalStats>(*domain_),
+            query.context.priority,
+            [trace = trace_, pyramids = pyramids_, snapped, granularity,
+             exact](const auto &, base::ThreadPool &)
+                -> std::optional<stats::IntervalStats> {
+                stats::IntervalStats out;
+                out.interval = snapped;
+                std::uint64_t nodes = 0;
+                auto range = pyramids->leafRange(snapped);
+                std::vector<TimeStamp> by_slot;
+                for (CpuId c = 0; c < trace->numCpus(); c++) {
+                    const index::SummaryPyramid &p = pyramids->get(c);
+                    by_slot.assign(p.states().size(), 0);
+                    p.occupancy(range.first, range.second, by_slot, nodes);
+                    for (std::size_t s = 0; s < by_slot.size(); s++)
+                        if (by_slot[s] != 0)
+                            out.timeInState[p.states()[s]] += by_slot[s];
+                }
+                out.tasksStarted = pyramids->tasksStartedIn(snapped);
+                out.tasksOverlapping = pyramids->tasksOverlapping(snapped);
+                out.resolution.exact = exact;
+                out.resolution.nodesTouched = nodes;
+                out.resolution.granularityNs = granularity;
+                return out;
+            });
     }
     {
         base::MutexLock lock(statsMemo_->mutex);
@@ -621,47 +522,20 @@ Session::submit(const IntervalStatsQuery &query)
                 std::make_pair(interval.start, interval.end)))
             return completedTicket(*domain_, stats::IntervalStats(*hit));
     }
-    auto state = newTicketState<stats::IntervalStats>(*domain_);
-    auto job = std::make_shared<StatsJob>();
-    job->ticket = state;
-    job->trace = trace_;
-    job->memo = statsMemo_;
-    job->interval = interval;
-    job->cpuChunks = trace_->numCpus();
-    const std::size_t instances = trace_->taskInstances().size();
-    const unsigned workers = engine_->workers();
-    if (instances > 0) {
-        // Enough task chunks to load every worker a few times over,
-        // but no micro-chunks: the claim cursor should stay noise.
-        job->taskChunkSize = std::max<std::size_t>(
-            4096, instances / (static_cast<std::size_t>(workers) * 4));
-        job->taskChunks =
-            (instances + job->taskChunkSize - 1) / job->taskChunkSize;
-    }
-    const std::size_t total = job->cpuChunks + job->taskChunks;
-    if (total == 0) {
-        stats::IntervalStats empty;
-        empty.interval = interval;
-        {
-            base::MutexLock lock(statsMemo_->mutex);
-            statsMemo_->stats.insertOrGet(
-                std::make_pair(interval.start, interval.end),
-                stats::IntervalStats(empty));
-        }
-        return completedTicket(*domain_, std::move(empty));
-    }
-    job->partials.resize(total);
-    job->background = query.context.priority == QueryPriority::Background;
-    const std::size_t drainers =
-        std::max<std::size_t>(1, std::min<std::size_t>(workers, total));
-    job->active.store(drainers, std::memory_order_relaxed);
-    base::TaskPriority priority = toTaskPriority(query.context.priority);
-    engine_->withPool([&](base::ThreadPool &pool) {
-        job->pool = &pool;
-        for (std::size_t d = 0; d < drainers; d++)
-            pool.submit([job] { drainStats(job); }, priority);
-    });
-    return QueryTicket<stats::IntervalStats>(std::move(state));
+    auto scan =
+        std::make_shared<StatsScan>(trace_, interval, engine_->workers());
+    return submitFanOut<stats::IntervalStats>(
+        *engine_, newTicketState<stats::IntervalStats>(*domain_),
+        query.context.priority, scan->units(),
+        [scan](std::size_t i) {
+            scan->run(i);
+            return true;
+        },
+        [scan, memo = statsMemo_] {
+            stats::IntervalStats merged = scan->merge();
+            publishStats(*memo, merged);
+            return merged;
+        });
 }
 
 QueryTicket<std::vector<const trace::TaskInstance *>>
@@ -675,40 +549,31 @@ Session::submit(const TaskListQuery &query)
         if (const List *hit = memo_->taskList.tryGet(generation))
             return completedTicket(*domain_, List(*hit));
     }
-    auto state = newTicketState<List>(*domain_);
     // The task list is view-independent: staleness tracks the filter
     // generation, so panning the view never cancels it.
-    state->generation = domain_->filterGeneration();
-    state->live = domain_->filterGenerationCell();
-    auto trace = trace_;
-    auto memo = memo_;
-    auto filters = std::make_shared<const filter::FilterSet>(filters_);
-    base::TaskHandle handle;
-    engine_->withPool([&](base::ThreadPool &pool) {
-        handle = pool.submitTracked(
-            [state, trace, memo, filters, generation] {
-                state->markRunning();
-                auto list = scanTaskList(*trace, *filters, *state);
-                if (!list) {
-                    state->completeCancelled();
-                    return;
-                }
+    return submitTask(
+        *engine_, newTicketState<List>(*domain_, Staleness::Filter),
+        query.context.priority,
+        [trace = trace_, memo = memo_,
+         filters = std::make_shared<const filter::FilterSet>(filters_),
+         generation](const auto &state, base::ThreadPool &) {
+            auto list = scanTaskList(*trace, *filters, state);
+            if (list)
                 publishTaskList(*memo, generation, *list);
-                state->complete(std::move(*list));
-            },
-            toTaskPriority(query.context.priority));
-    });
-    {
-        base::MutexLock lock(state->mutex);
-        state->handle = handle;
-    }
-    return QueryTicket<List>(std::move(state));
+            return list;
+        });
 }
 
 QueryTicket<stats::Histogram>
 Session::submit(const HistogramQuery &query)
 {
     using List = std::vector<const trace::TaskInstance *>;
+    // Like the task list it is built from, the histogram is
+    // view-independent: staleness tracks the filter generation only.
+    auto state = newTicketState<stats::Histogram>(*domain_,
+                                                  Staleness::Filter);
+    auto filters = std::make_shared<const filter::FilterSet>(filters_);
+    std::uint32_t num_bins = query.numBins;
     if (query.context.interval) {
         const TimeStamp granularity = pyramids_->granularityFor(
             query.context.resolution, *query.context.interval);
@@ -724,59 +589,33 @@ Session::submit(const HistogramQuery &query)
             const bool exact =
                 snapped.start == query.context.interval->start &&
                 snapped.end == query.context.interval->end;
-            auto state = newTicketState<stats::Histogram>(*domain_);
-            state->generation = domain_->filterGeneration();
-            state->live = domain_->filterGenerationCell();
-            auto trace = trace_;
-            auto pyramids = pyramids_;
-            auto filters =
-                std::make_shared<const filter::FilterSet>(filters_);
-            std::uint32_t num_bins = query.numBins;
-            base::TaskHandle handle;
-            engine_->withPool([&](base::ThreadPool &pool) {
-                handle = pool.submitTracked(
-                    [state, trace, pyramids, filters, snapped,
-                     granularity, exact, num_bins] {
-                        state->markRunning();
-                        if (state->stale()) {
-                            state->completeCancelled();
-                            return;
-                        }
-                        auto range = pyramids->taskStartRange(snapped);
-                        const List &by_start = pyramids->tasksByStart();
-                        std::vector<double> durations;
-                        durations.reserve(range.second - range.first);
-                        for (std::size_t i = range.first;
-                             i < range.second; i++) {
-                            const trace::TaskInstance *task = by_start[i];
-                            if (filters->matches(*trace, *task))
-                                durations.push_back(static_cast<double>(
-                                    task->duration()));
-                        }
-                        if (state->stale()) {
-                            state->completeCancelled();
-                            return;
-                        }
-                        stats::Histogram h = stats::Histogram::fromValues(
-                            durations, num_bins);
-                        h.resolution.exact = exact;
-                        h.resolution.granularityNs = granularity;
-                        state->complete(std::move(h));
-                    },
-                    toTaskPriority(query.context.priority));
-            });
-            {
-                base::MutexLock lock(state->mutex);
-                state->handle = handle;
-            }
-            return QueryTicket<stats::Histogram>(std::move(state));
+            return submitTask(
+                *engine_, std::move(state), query.context.priority,
+                [trace = trace_, pyramids = pyramids_, filters, snapped,
+                 granularity, exact, num_bins](const auto &state,
+                                               base::ThreadPool &)
+                    -> std::optional<stats::Histogram> {
+                    auto range = pyramids->taskStartRange(snapped);
+                    const List &by_start = pyramids->tasksByStart();
+                    std::vector<double> durations;
+                    durations.reserve(range.second - range.first);
+                    for (std::size_t i = range.first; i < range.second;
+                         i++) {
+                        const trace::TaskInstance *task = by_start[i];
+                        if (filters->matches(*trace, *task))
+                            durations.push_back(
+                                static_cast<double>(task->duration()));
+                    }
+                    if (state.stale())
+                        return std::nullopt;
+                    stats::Histogram h =
+                        stats::Histogram::fromValues(durations, num_bins);
+                    h.resolution.exact = exact;
+                    h.resolution.granularityNs = granularity;
+                    return h;
+                });
         }
     }
-    auto state = newTicketState<stats::Histogram>(*domain_);
-    // Like the task list it is built from, the histogram is
-    // view-independent: staleness tracks the filter generation only.
-    state->generation = domain_->filterGeneration();
-    state->live = domain_->filterGenerationCell();
     std::uint64_t generation;
     std::shared_ptr<const List> cached;
     {
@@ -785,67 +624,44 @@ Session::submit(const HistogramQuery &query)
         if (const List *hit = memo_->taskList.tryGet(generation))
             cached = std::make_shared<const List>(*hit);
     }
-    auto trace = trace_;
-    auto memo = memo_;
-    auto filters = std::make_shared<const filter::FilterSet>(filters_);
-    std::uint32_t num_bins = query.numBins;
-    std::optional<TimeInterval> restrict_to = query.context.interval;
-    base::TaskHandle handle;
-    engine_->withPool([&](base::ThreadPool &pool) {
-        handle = pool.submitTracked(
-            [state, trace, memo, filters, cached, generation, num_bins,
-             restrict_to] {
-                state->markRunning();
-                if (state->stale()) {
-                    state->completeCancelled();
-                    return;
-                }
-                const List *tasks = cached.get();
-                List computed;
-                if (!tasks) {
-                    auto list = scanTaskList(*trace, *filters, *state);
-                    if (!list) {
-                        state->completeCancelled();
-                        return;
-                    }
-                    computed = std::move(*list);
-                    // The scan is the expensive half; share it with
-                    // later tasks()/histogram() calls of the same
-                    // generation (the published list is unrestricted;
-                    // the interval only narrows the binned values).
-                    publishTaskList(*memo, generation, computed);
-                    tasks = &computed;
-                }
-                std::vector<double> durations;
-                durations.reserve(tasks->size());
-                for (const trace::TaskInstance *task : *tasks) {
-                    if (restrict_to &&
-                        !restrict_to->contains(task->interval.start))
-                        continue;
-                    durations.push_back(
-                        static_cast<double>(task->duration()));
-                }
-                if (state->stale()) {
-                    state->completeCancelled();
-                    return;
-                }
-                state->complete(
-                    stats::Histogram::fromValues(durations, num_bins));
-            },
-            toTaskPriority(query.context.priority));
-    });
-    {
-        base::MutexLock lock(state->mutex);
-        state->handle = handle;
-    }
-    return QueryTicket<stats::Histogram>(std::move(state));
+    return submitTask(
+        *engine_, std::move(state), query.context.priority,
+        [trace = trace_, memo = memo_, filters, cached, generation,
+         num_bins, restrict_to = query.context.interval](
+            const auto &state,
+            base::ThreadPool &) -> std::optional<stats::Histogram> {
+            const List *tasks = cached.get();
+            List computed;
+            if (!tasks) {
+                auto list = scanTaskList(*trace, *filters, state);
+                if (!list)
+                    return std::nullopt;
+                computed = std::move(*list);
+                // The scan is the expensive half; share it with later
+                // tasks()/histogram() calls of the same generation (the
+                // published list is unrestricted; the interval only
+                // narrows the binned values).
+                publishTaskList(*memo, generation, computed);
+                tasks = &computed;
+            }
+            std::vector<double> durations;
+            durations.reserve(tasks->size());
+            for (const trace::TaskInstance *task : *tasks) {
+                if (restrict_to &&
+                    !restrict_to->contains(task->interval.start))
+                    continue;
+                durations.push_back(static_cast<double>(task->duration()));
+            }
+            if (state.stale())
+                return std::nullopt;
+            return stats::Histogram::fromValues(durations, num_bins);
+        });
 }
 
 QueryTicket<index::MinMax>
 Session::submit(const CounterExtremaQuery &query)
 {
     auto state = newTicketState<index::MinMax>(*domain_);
-    auto cache = counterIndexes_;
     TimeInterval interval = query.context.interval.value_or(view());
     const TimeStamp granularity =
         pyramids_->granularityFor(query.context.resolution, interval);
@@ -857,79 +673,57 @@ Session::submit(const CounterExtremaQuery &query)
         // index's per-sample range scan. An out-of-range CPU yields
         // the same invalid MinMax a counter with no samples does.
         TimeInterval snapped = pyramids_->snap(interval, granularity);
-        auto pyramids = pyramids_;
-        base::TaskHandle handle;
-        engine_->withPool([&](base::ThreadPool &pool) {
-            handle = pool.submitTracked(
-                [state, pyramids, cpu, counter, snapped] {
-                    state->markRunning();
-                    if (state->stale()) {
-                        state->completeCancelled();
-                        return;
+        return submitTask(
+            *engine_, std::move(state), query.context.priority,
+            [pyramids = pyramids_, cpu, counter, snapped](
+                const auto &,
+                base::ThreadPool &) -> std::optional<index::MinMax> {
+                index::MinMax out;
+                if (const index::SummaryPyramid *p =
+                        pyramids->getOrNull(cpu)) {
+                    std::uint64_t nodes = 0;
+                    auto range = pyramids->leafRange(snapped);
+                    index::SummaryPyramid::CounterAggregate agg =
+                        p->counterAggregate(counter, range.first,
+                                            range.second, nodes);
+                    if (agg.count > 0) {
+                        out.valid = true;
+                        out.min = agg.min;
+                        out.max = agg.max;
                     }
-                    index::MinMax out;
-                    if (const index::SummaryPyramid *p =
-                            pyramids->getOrNull(cpu)) {
-                        std::uint64_t nodes = 0;
-                        auto range = pyramids->leafRange(snapped);
-                        index::SummaryPyramid::CounterAggregate agg =
-                            p->counterAggregate(counter, range.first,
-                                                range.second, nodes);
-                        if (agg.count > 0) {
-                            out.valid = true;
-                            out.min = agg.min;
-                            out.max = agg.max;
-                        }
-                    }
-                    state->complete(out);
-                },
-                toTaskPriority(query.context.priority));
-        });
-        {
-            base::MutexLock lock(state->mutex);
-            state->handle = handle;
-        }
-        return QueryTicket<index::MinMax>(std::move(state));
-    }
-    base::TaskHandle handle;
-    engine_->withPool([&](base::ThreadPool &pool) {
-        handle = pool.submitTracked(
-            [state, cache, cpu, counter, interval] {
-                state->markRunning();
-                if (state->stale()) {
-                    state->completeCancelled();
-                    return;
                 }
-                state->complete(cache->query(cpu, counter, interval));
-            },
-            toTaskPriority(query.context.priority));
-    });
-    {
-        base::MutexLock lock(state->mutex);
-        state->handle = handle;
+                return out;
+            });
     }
-    return QueryTicket<index::MinMax>(std::move(state));
+    return submitTask(
+        *engine_, std::move(state), query.context.priority,
+        [cache = counterIndexes_, cpu, counter, interval](
+            const auto &,
+            base::ThreadPool &) -> std::optional<index::MinMax> {
+            return cache->query(cpu, counter, interval);
+        });
 }
 
 QueryTicket<Session::WarmupStats>
 Session::submit(const WarmupQuery &query)
 {
-    auto state = newTicketState<WarmupStats>(*domain_);
-    // Warm-up products are view-independent (indexes) or keyed by
-    // interval / filter generation, so generation bumps don't invalidate
-    // them: warm-up cancels only explicitly.
-    state->live = nullptr;
-    auto job = std::make_shared<WarmupJob>();
-    job->ticket = state;
-    job->trace = trace_;
-    job->cache = counterIndexes_;
-    job->statsMemo = statsMemo_;
-    job->memo = memo_;
-    job->filters = std::make_shared<const filter::FilterSet>(filters_);
-    job->statsInterval = view();
-    job->stats.workers = engine_->workers();
+    // The units, in order: the not-yet-warmed (cpu, counter) index
+    // builds, the stats scan of the view (if not memoized), and the
+    // task list (if not memoized).
+    struct Warmup
+    {
+        std::vector<std::pair<CpuId, CounterId>> pairs;
+        std::optional<StatsScan> scan;
+        bool taskList = false;
+        std::uint64_t filterGeneration = 0;
+        WarmupStats result;
+        std::atomic<std::size_t> built{0}; ///< Indexes this job built.
+    };
+    auto work = std::make_shared<Warmup>();
+    work->result.workers = engine_->workers();
 
     const WarmupPolicy &policy = query.policy;
+    const TimeInterval view_interval = view();
     std::size_t skipped = 0;
     // The two memos lock sequentially (never nested): warmed pairs and
     // the stats memo live in the shared StatsMemo, the filter
@@ -948,74 +742,106 @@ Session::submit(const WarmupQuery &query)
                         skipped++;
                         continue;
                     }
-                    job->pairs.emplace_back(c, id);
+                    work->pairs.emplace_back(c, id);
                 }
             }
         }
         // Already-memoized stats / task-list entries need no unit; the
         // lookups count hits, keeping warm-up observable like the old
         // eager revisit did.
-        if (policy.intervalStats)
-            job->doStats =
-                statsMemo_->stats.tryGet(std::make_pair(
-                    job->statsInterval.start,
-                    job->statsInterval.end)) == nullptr;
+        if (policy.intervalStats &&
+            statsMemo_->stats.tryGet(std::make_pair(
+                view_interval.start, view_interval.end)) == nullptr)
+            work->scan.emplace(trace_, view_interval,
+                                work->result.workers);
     }
     {
         base::MutexLock lock(memo_->mutex);
-        job->filterGeneration = memo_->filterGeneration;
+        work->filterGeneration = memo_->filterGeneration;
         if (policy.taskList)
-            job->doTaskList =
-                memo_->taskList.tryGet(job->filterGeneration) == nullptr;
+            work->taskList =
+                memo_->taskList.tryGet(work->filterGeneration) == nullptr;
     }
-    job->stats.indexesVisited = job->pairs.size();
-    job->stats.indexesSkipped = skipped;
+    work->result.indexesVisited = work->pairs.size();
+    work->result.indexesSkipped = skipped;
 
-    const std::size_t total = job->pairs.size() +
-                              (job->doStats ? 1 : 0) +
-                              (job->doTaskList ? 1 : 0);
-    if (total == 0)
-        return completedTicket(*domain_, job->stats);
-    job->background = query.context.priority == QueryPriority::Background;
-    const std::size_t drainers = std::max<std::size_t>(
-        1, std::min<std::size_t>(engine_->workers(), total));
-    job->active.store(drainers, std::memory_order_relaxed);
-    base::TaskPriority priority = toTaskPriority(query.context.priority);
-    engine_->withPool([&](base::ThreadPool &pool) {
-        job->pool = &pool;
-        for (std::size_t d = 0; d < drainers; d++)
-            pool.submit([job] { drainWarmup(job); }, priority);
-    });
-    return QueryTicket<WarmupStats>(std::move(state));
+    // Warm-up products are view-independent (indexes) or keyed by
+    // interval / filter generation, so generation bumps don't invalidate
+    // them: warm-up cancels only explicitly.
+    auto state = newTicketState<WarmupStats>(*domain_, Staleness::Immune);
+    const std::size_t stats_units = work->scan ? work->scan->units() : 0;
+    return submitFanOut<WarmupStats>(
+        *engine_, state, query.context.priority,
+        work->pairs.size() + stats_units + (work->taskList ? 1 : 0),
+        [work, state, trace = trace_, cache = counterIndexes_,
+         memo = memo_,
+         filters = std::make_shared<const filter::FilterSet>(filters_)](
+            std::size_t i) {
+            if (i < work->pairs.size()) {
+                bool constructed = false;
+                cache->get(work->pairs[i].first, work->pairs[i].second,
+                           &constructed);
+                // Per-call attribution: concurrent non-warm-up queries
+                // building indexes never inflate this job's count.
+                if (constructed)
+                    work->built.fetch_add(1, std::memory_order_relaxed);
+                return true;
+            }
+            i -= work->pairs.size();
+            if (work->scan && i < work->scan->units()) {
+                work->scan->run(i);
+                return true;
+            }
+            auto list = scanTaskList(*trace, *filters, *state);
+            if (list)
+                publishTaskList(*memo, work->filterGeneration, *list);
+            return list.has_value();
+        },
+        // Runs only when every unit did: a cancelled warm-up leaves the
+        // indexes it built cached (they answer lazily) but records
+        // nothing as warmed, so the next warm-up revisits cheaply.
+        [work, stats_memo = statsMemo_] {
+            if (work->scan)
+                publishStats(*stats_memo, work->scan->merge());
+            base::MutexLock lock(stats_memo->mutex);
+            stats_memo->warmedPairs.insert(work->pairs.begin(),
+                                           work->pairs.end());
+            WarmupStats out = work->result;
+            out.indexesBuilt = work->built.load(std::memory_order_relaxed);
+            return out;
+        });
 }
 
 QueryTicket<PyramidBuildStats>
 Session::submit(const PyramidBuildQuery &query)
 {
-    auto state = newTicketState<PyramidBuildStats>(*domain_);
-    // Pyramids are trace-keyed, never view- or filter-keyed, so
-    // generation bumps don't invalidate a build: explicit cancel only.
-    state->live = nullptr;
-    auto job = std::make_shared<PyramidJob>();
-    job->ticket = state;
-    job->trace = trace_;
-    job->pyramids = pyramids_;
-    job->stats.cpusVisited = trace_->numCpus();
-    job->stats.workers = engine_->workers();
-    const std::size_t total = trace_->numCpus();
-    if (total == 0)
-        return completedTicket(*domain_, job->stats);
-    job->background = query.context.priority == QueryPriority::Background;
-    const std::size_t drainers = std::max<std::size_t>(
-        1, std::min<std::size_t>(engine_->workers(), total));
-    job->active.store(drainers, std::memory_order_relaxed);
-    base::TaskPriority priority = toTaskPriority(query.context.priority);
-    engine_->withPool([&](base::ThreadPool &pool) {
-        job->pool = &pool;
-        for (std::size_t d = 0; d < drainers; d++)
-            pool.submit([job] { drainPyramids(job); }, priority);
-    });
-    return QueryTicket<PyramidBuildStats>(std::move(state));
+    // Every CPU is one unit. TracePyramids::get() builds under the
+    // CPU's shard lock, so builds of different CPUs never contend, and
+    // a pyramid a concurrent resolution-bearing query already built is
+    // attributed to that query (@p constructed is decided under the
+    // lock). Pyramids are trace-keyed, never view- or filter-keyed:
+    // explicit cancel only, and pyramids built before a cancel stay
+    // cached for the next build to skip.
+    PyramidBuildStats result;
+    result.cpusVisited = trace_->numCpus();
+    result.workers = engine_->workers();
+    auto built = std::make_shared<std::atomic<std::size_t>>(0);
+    return submitFanOut<PyramidBuildStats>(
+        *engine_, newTicketState<PyramidBuildStats>(*domain_,
+                                                    Staleness::Immune),
+        query.context.priority, trace_->numCpus(),
+        [pyramids = pyramids_, built](std::size_t i) {
+            bool constructed = false;
+            pyramids->get(static_cast<CpuId>(i), &constructed);
+            if (constructed)
+                built->fetch_add(1, std::memory_order_relaxed);
+            return true;
+        },
+        [result, built] {
+            PyramidBuildStats out = result;
+            out.cpusBuilt = built->load(std::memory_order_relaxed);
+            return out;
+        });
 }
 
 QueryTicket<TraceLoadResult>
@@ -1023,67 +849,50 @@ Session::submit(const TraceLoadQuery &query)
 {
     AFTERMATH_ASSERT(query.bytes != nullptr || !query.path.empty(),
                      "trace load query needs a source");
-    auto state = newTicketState<TraceLoadResult>(*domain_);
     // A load's product is handed back to the driving thread, never
     // published into shared caches, so view/filter/trace mutations
     // cannot make it stale: generation-immune, explicit cancel only.
-    state->live = nullptr;
+    auto state = newTicketState<TraceLoadResult>(*domain_,
+                                                 Staleness::Immune);
     trace::ReadOptions options;
     options.workers =
         query.workers == 0 ? engine_->workers() : query.workers;
     // Bridge ticket.cancel() into the reader's cooperative poll (the
     // token copies share one flag).
     options.cancel = state->cancel;
-    auto bytes = query.bytes;
-    std::string path = query.path;
-    base::TaskHandle handle;
-    engine_->withPool([&](base::ThreadPool &pool) {
-        // The load's serial frame scan can occupy a worker for the
-        // whole file; drain queued interactive tasks at the reader's
-        // poll boundaries so even a 1-worker engine stays responsive.
-        // The pool outlives the load task (it runs on that pool, and
-        // the pool drains before destruction), so the raw pointer in
-        // the yield hook stays valid.
-        base::ThreadPool *pool_ptr = &pool;
-        options.yield = [pool_ptr] {
-            while (pool_ptr->hasHighPriorityWork() &&
-                   pool_ptr->runOneHighPriorityTask()) {
-            }
-        };
-        handle = pool.submitTracked(
-            [state, bytes, path, options] {
-                state->markRunning();
-                if (state->stale()) {
-                    state->completeCancelled();
-                    return;
+    return submitTask(
+        *engine_, std::move(state), query.context.priority,
+        [bytes = query.bytes, path = query.path, options](
+            const auto &,
+            base::ThreadPool &pool) -> std::optional<TraceLoadResult> {
+            // The load's serial frame scan can occupy a worker for the
+            // whole file; drain queued interactive tasks at the reader's
+            // poll boundaries so even a 1-worker engine stays
+            // responsive.
+            trace::ReadOptions read_options = options;
+            read_options.yield = [&pool] {
+                while (pool.hasHighPriorityWork() &&
+                       pool.runOneHighPriorityTask()) {
                 }
-                // The reader spins up its own decode pool: a pool task
-                // must not parallelFor() on its own pool, and a
-                // 1-worker engine would serialize the decode otherwise.
-                trace::ReadResult read =
-                    bytes ? trace::readTrace(*bytes, options)
-                          : trace::readTraceFile(path, options);
-                if (read.cancelled) {
-                    state->completeCancelled();
-                    return;
-                }
-                TraceLoadResult result;
-                result.ok = read.ok;
-                result.error = std::move(read.error);
-                result.encoding = read.encoding;
-                result.bytesRead = read.bytesRead;
-                if (read.ok)
-                    result.trace = std::make_shared<const trace::Trace>(
-                        std::move(read.trace));
-                state->complete(std::move(result));
-            },
-            toTaskPriority(query.context.priority));
-    });
-    {
-        base::MutexLock lock(state->mutex);
-        state->handle = handle;
-    }
-    return QueryTicket<TraceLoadResult>(std::move(state));
+            };
+            // The reader spins up its own decode pool: a pool task must
+            // not parallelFor() on its own pool, and a 1-worker engine
+            // would serialize the decode otherwise.
+            trace::ReadResult read =
+                bytes ? trace::readTrace(*bytes, read_options)
+                      : trace::readTraceFile(path, read_options);
+            if (read.cancelled)
+                return std::nullopt;
+            TraceLoadResult result;
+            result.ok = read.ok;
+            result.error = std::move(read.error);
+            result.encoding = read.encoding;
+            result.bytesRead = read.bytesRead;
+            if (read.ok)
+                result.trace = std::make_shared<const trace::Trace>(
+                    std::move(read.trace));
+            return result;
+        });
 }
 
 QueryTicket<TimelineRenderResult>
@@ -1091,8 +900,6 @@ Session::submit(const TimelineRenderQuery &query)
 {
     AFTERMATH_ASSERT(query.width > 0 && query.height > 0,
                      "render query needs positive dimensions");
-    auto state = newTicketState<TimelineRenderResult>(*domain_);
-    auto trace = trace_;
     // Snapshot the session's filters on the heap: the async render must
     // not point into the (mutable) session object.
     std::shared_ptr<const filter::FilterSet> filters;
@@ -1108,72 +915,70 @@ Session::submit(const TimelineRenderQuery &query)
     // without touching the render config.
     if (query.context.resolution.kind != Resolution::Kind::Exact)
         config.resolution = query.context.resolution;
-    auto pyramids = pyramids_;
-    config.pyramids = pyramids.get();
-    std::uint32_t width = query.width;
-    std::uint32_t height = query.height;
-    auto renderers = rendererPool_;
-    base::TaskHandle handle;
-    engine_->withPool([&](base::ThreadPool &pool) {
-        handle = pool.submitTracked(
-            [state, trace, renderers, filters, pyramids, config, width,
-             height] {
-                state->markRunning();
-                if (state->stale()) {
-                    state->completeCancelled();
-                    return;
-                }
-                TimelineRenderResult result;
-                result.fb = render::Framebuffer(width, height);
-                // Check a pooled renderer out instead of constructing:
-                // repeated async renders reuse the palette and memo
-                // caches a fresh renderer would rebuild per query.
-                RendererPool::Lease lease = renderers->checkout(trace);
-                lease->render(config, result.fb);
-                result.stats = lease->stats();
-                state->complete(std::move(result));
-            },
-            toTaskPriority(query.context.priority));
-    });
-    {
-        base::MutexLock lock(state->mutex);
-        state->handle = handle;
-    }
-    return QueryTicket<TimelineRenderResult>(std::move(state));
+    config.pyramids = pyramids_.get();
+    return submitTask(
+        *engine_, newTicketState<TimelineRenderResult>(*domain_),
+        query.context.priority,
+        [trace = trace_, renderers = rendererPool_, filters,
+         pyramids = pyramids_, config, width = query.width,
+         height = query.height](const auto &, base::ThreadPool &)
+            -> std::optional<TimelineRenderResult> {
+            TimelineRenderResult result;
+            result.fb = render::Framebuffer(width, height);
+            // Check a pooled renderer out instead of constructing:
+            // repeated async renders reuse the palette and memo caches
+            // a fresh renderer would rebuild per query.
+            RendererPool::Lease lease = renderers->checkout(trace);
+            lease->render(config, result.fb);
+            result.stats = lease->stats();
+            return result;
+        });
 }
 
 QueryTicket<std::vector<stats::Anomaly>>
 Session::submit(const AnomalyScanQuery &query)
 {
+    using Anomalies = std::vector<stats::Anomaly>;
     TimeInterval interval = query.context.interval.value_or(view());
-    // View-dependent by default generation: a view, filter or trace
-    // mutation makes a queued or running scan stale (polled at chunk
-    // boundaries) — the findings describe a window the user just left.
-    auto state = newTicketState<std::vector<stats::Anomaly>>(*domain_);
-    auto job = std::make_shared<AnomalyScanJob>();
-    job->ticket = state;
-    job->trace = trace_;
-    job->filters = std::make_shared<const filter::FilterSet>(filters_);
-    job->options = query.options;
-    job->interval = interval;
     if (interval.empty() || query.options.numIntervals == 0)
-        return completedTicket(*domain_, std::vector<stats::Anomaly>());
-    job->chunks = stats::anomalyScanChunks(*trace_);
-    const std::size_t total = job->chunks.size();
-    if (total == 0)
-        return completedTicket(*domain_, std::vector<stats::Anomaly>());
-    job->partials.resize(total);
-    job->background = query.context.priority == QueryPriority::Background;
-    const std::size_t drainers = std::max<std::size_t>(
-        1, std::min<std::size_t>(engine_->workers(), total));
-    job->active.store(drainers, std::memory_order_relaxed);
-    base::TaskPriority priority = toTaskPriority(query.context.priority);
-    engine_->withPool([&](base::ThreadPool &pool) {
-        job->pool = &pool;
-        for (std::size_t d = 0; d < drainers; d++)
-            pool.submit([job] { drainAnomalies(job); }, priority);
-    });
-    return QueryTicket<std::vector<stats::Anomaly>>(std::move(state));
+        return completedTicket(*domain_, Anomalies());
+    // The detector chunks of stats::anomalyScanChunks() — per-CPU idle,
+    // per-task-type outlier, per-(cpu, counter) burst — merged in chunk
+    // order by stats::mergeAnomalyChunks(), so the ranked list equals
+    // the serial scanner's at any worker count.
+    struct Scan
+    {
+        std::shared_ptr<const trace::Trace> trace;
+        filter::FilterSet filters;
+        stats::AnomalyScanOptions options;
+        TimeInterval interval;
+        std::vector<stats::AnomalyScanChunk> chunks;
+        std::vector<stats::AnomalyChunkResult> partials;
+    };
+    auto scan = std::make_shared<Scan>(
+        Scan{trace_, filters_, query.options, interval,
+             stats::anomalyScanChunks(*trace_), {}});
+    if (scan->chunks.empty())
+        return completedTicket(*domain_, Anomalies());
+    scan->partials.resize(scan->chunks.size());
+    // View-dependent: a view, filter or trace mutation makes a queued or
+    // running scan stale — the findings describe a window the user just
+    // left.
+    return submitFanOut<Anomalies>(
+        *engine_, newTicketState<Anomalies>(*domain_),
+        query.context.priority, scan->chunks.size(),
+        [scan](std::size_t i) {
+            scan->partials[i] =
+                stats::runAnomalyChunk(*scan->trace, scan->chunks[i],
+                                       scan->options, scan->interval,
+                                       &scan->filters);
+            return true;
+        },
+        [scan] {
+            return stats::mergeAnomalyChunks(
+                *scan->trace, scan->chunks, std::move(scan->partials),
+                scan->options, scan->interval);
+        });
 }
 
 } // namespace session

@@ -16,20 +16,28 @@
  *
  * The two-queue contract: every spec carries a QueryPriority, and the
  * engine drains the Interactive queue strictly before the Background
- * queue. Interactive work (render, stats, histogram, task list,
- * extrema) jumps ahead of every queued Background task, and running
- * Background fan-out jobs (warm-up, background stats prefetches) poll
- * base::ThreadPool::hasHighPriorityWork() at their chunk boundaries —
- * the same boundaries at which they poll the cancellation token — and
- * yield their worker by re-submitting their continuation at Background
- * priority. A background warm-up storm therefore delays a
- * just-submitted interactive query by at most one chunk (one index
- * build, one per-CPU scan), never by the whole storm. The claim-cursor
- * protocol makes yielding invisible in the results: continuations
- * resume exactly where the job left off, and the merged output stays
- * bit-identical to a serial run. Single-task Background queries (trace
- * loads) queue behind interactive work but hold their worker once
- * running.
+ * queue, so interactive work (render, stats, histogram, task list,
+ * extrema) jumps ahead of every queued Background task. Every query
+ * runs in one of two shapes (query_engine.cc):
+ *
+ *  - A fan-out query (exact interval statistics, warm-up, anomaly
+ *    scan, pyramid build) is one FanOutJob: independent units claimed
+ *    through an atomic cursor by up to one drainer task per worker.
+ *    Before every claim a drainer polls the cancellation token and, at
+ *    Background priority, base::ThreadPool::hasHighPriorityWork(); with
+ *    interactive work queued it yields its worker by re-submitting its
+ *    continuation at Background priority. A background storm therefore
+ *    delays a just-submitted interactive query by at most one unit
+ *    (one index build, one CPU's state scan or task-array chunk, one
+ *    detector chunk, one CPU's pyramid, one task-list scan), never by
+ *    the whole storm. Continuations resume at the cursor and the last
+ *    drainer out merges the partials in unit order, so results stay
+ *    bit-identical to a serial run at every worker count.
+ *  - A single-task query (render, task list, histogram, extrema, the
+ *    pyramid-path statistics, trace load) is one tracked task:
+ *    cancel() dequeues it while queued, and once running it holds its
+ *    worker — except a trace load, which runs queued interactive tasks
+ *    itself at the reader's poll boundaries.
  *
  * Idle lifecycle: the pool starts lazily on the first submission, and
  * with setIdleTimeout(t) a reaper thread joins the workers after t of

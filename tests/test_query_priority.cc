@@ -30,6 +30,7 @@
 #include "session/session.h"
 #include "session/session_group.h"
 #include "trace/state.h"
+#include "trace_builder.h"
 
 namespace aftermath {
 namespace session {
@@ -394,6 +395,40 @@ TEST(QueryPriorityTest, BackgroundWarmupYieldsAndStillWarmsEverything)
     EXPECT_EQ(again.indexesSkipped,
               warmup.result().indexesVisited +
                   warmup.result().indexesSkipped);
+}
+
+TEST(QueryPriorityTest, BackgroundWarmupMemoizesExactViewStats)
+{
+    test_support::RandomTraceOptions opts;
+    opts.cpus = 6;
+    opts.statesPerCpu = 2'000; // Over 4096 tasks: several task units.
+    trace::Trace tr = test_support::buildRandomTrace(71, opts);
+    ASSERT_GT(tr.taskInstances().size(), 4096u);
+    const TimeInterval span = tr.span();
+    const TimeInterval view{span.start + span.duration() / 5,
+                            span.end - span.duration() / 7};
+    for (unsigned workers : {1u, 3u}) {
+        Session session = Session::view(tr);
+        session.setConcurrency({workers});
+        session.setView(view);
+        // The warm-up's statistics units yield to the flood like its
+        // index builds do; the memoized result must not notice.
+        auto warmup = session.submit(WarmupQuery{});
+        std::vector<QueryTicket<stats::Histogram>> flood;
+        for (unsigned i = 0; i < 8; i++)
+            flood.push_back(session.submit(HistogramQuery{{}, 10u + i}));
+        for (auto &ticket : flood)
+            EXPECT_EQ(ticket.wait(), QueryStatus::Done);
+        ASSERT_EQ(warmup.wait(), QueryStatus::Done);
+        EXPECT_EQ(session.cacheStats().intervalStats.builds, 1u);
+
+        // The view's statistics are now a memo hit, equal to the
+        // serial scan.
+        expectStatsEqual(session.intervalStats(view),
+                         serialIntervalStats(tr, view));
+        EXPECT_EQ(session.cacheStats().intervalStats.builds, 1u);
+        EXPECT_GE(session.cacheStats().intervalStats.hits, 1u);
+    }
 }
 
 // -- Idle lifecycle -------------------------------------------------------

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "base/rng.h"
 #include "filter/task_filter.h"
 #include "render/timeline_renderer.h"
@@ -316,6 +320,71 @@ TEST(Renderer, ViewRestrictsRendering)
     renderer.render(config, fb);
     EXPECT_EQ(fb.countPixels(stateColor(kExec)), 0u);
     EXPECT_GT(fb.countPixels(stateColor(kIdle)), 0u);
+}
+
+/** The frame @p renderer draws for @p config, as PPM bytes. */
+std::string
+frameBytes(TimelineRenderer &renderer, const TimelineConfig &config)
+{
+    Framebuffer fb(173, 64);
+    renderer.render(config, fb);
+    std::ostringstream out;
+    fb.writePpm(out);
+    return out.str();
+}
+
+/**
+ * A renderer keeps its task-color and remote-fraction caches across
+ * frames. Every config drawn right after every other one on one
+ * renderer must match a fresh renderer's frame byte for byte: each
+ * mode after each mode, Heatmap at a second view and under a filter
+ * (both move its adaptive range), and Heatmap with other shades.
+ */
+TEST(Renderer, CachesKeptAcrossFramesMatchFreshRenderer)
+{
+    trace::Trace tr = randomTrace(7);
+    const TimeInterval span = tr.span();
+    filter::TaskTypeFilter only_alpha({0x1});
+    std::vector<TimelineConfig> configs;
+    for (TimelineMode mode :
+         {TimelineMode::State, TimelineMode::Heatmap, TimelineMode::TypeMap,
+          TimelineMode::NumaRead, TimelineMode::NumaWrite,
+          TimelineMode::NumaHeatmap}) {
+        TimelineConfig config;
+        config.mode = mode;
+        configs.push_back(config);
+    }
+    TimelineConfig zoomed;
+    zoomed.mode = TimelineMode::Heatmap;
+    zoomed.view = {span.start + span.duration() / 4,
+                   span.start + span.duration() / 4 + span.duration() / 16};
+    configs.push_back(zoomed);
+    TimelineConfig filtered;
+    filtered.mode = TimelineMode::Heatmap;
+    filtered.taskFilter = &only_alpha;
+    configs.push_back(filtered);
+    TimelineConfig coarse;
+    coarse.mode = TimelineMode::Heatmap;
+    coarse.heatmapShades = 3;
+    configs.push_back(coarse);
+
+    std::vector<std::string> fresh;
+    for (const TimelineConfig &config : configs) {
+        TimelineRenderer renderer(tr);
+        fresh.push_back(frameBytes(renderer, config));
+    }
+    // The configs must disagree, or a stale cache could not show.
+    EXPECT_NE(fresh[1], fresh[6]);
+    EXPECT_NE(fresh[1], fresh[8]);
+
+    for (std::size_t first = 0; first < configs.size(); first++) {
+        for (std::size_t second = 0; second < configs.size(); second++) {
+            TimelineRenderer renderer(tr);
+            ASSERT_EQ(frameBytes(renderer, configs[first]), fresh[first]);
+            EXPECT_EQ(frameBytes(renderer, configs[second]), fresh[second])
+                << "config " << second << " after config " << first;
+        }
+    }
 }
 
 } // namespace

@@ -4,7 +4,8 @@
  * are bit-identical to the exact scan over the snapped interval,
  * snapping stays within the requested budget, Resolution::Exact is
  * bit-identical at every worker count, pyramids invalidate with the
- * trace and share through SharedCaches, and the cooperative-yield
+ * trace and share through SharedCaches, pyramid builds cancel and
+ * yield like every fan-out query, and the cooperative-yield
  * plumbing (ThreadPool::runOneHighPriorityTask, ReadOptions::yield)
  * behaves. Built with TSan and ASan+UBSan in CI.
  */
@@ -13,8 +14,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "base/resolution.h"
@@ -339,6 +345,190 @@ TEST(SummaryPyramid, SharedCachesShareOnePyramidStore)
             .take();
     expectSameAggregates(via_b,
                          serialIntervalStats(*tr, via_b.interval));
+}
+
+/** A gate that parks a worker until released; records entry. */
+struct Gate
+{
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool open = false;
+    std::atomic<bool> entered{false};
+
+    void
+    release()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            open = true;
+        }
+        cv.notify_all();
+    }
+
+    void
+    block()
+    {
+        entered.store(true, std::memory_order_release);
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [this] { return open; });
+    }
+
+    void
+    awaitEntered() const
+    {
+        while (!entered.load(std::memory_order_acquire))
+            std::this_thread::yield();
+    }
+};
+
+/** Park @p session's worker in an interactive task blocking on @p gate. */
+void
+occupyWithInteractive(Session &session, const std::shared_ptr<Gate> &gate)
+{
+    session.queryEngine()->withPool([&](base::ThreadPool &pool) {
+        pool.submit([gate] { gate->block(); }, base::TaskPriority::High);
+    });
+    gate->awaitEntered();
+}
+
+/** Enough CPUs and states that a build spans many unit boundaries. */
+trace::Trace
+buildHeavyTrace()
+{
+    RandomTraceOptions opts;
+    opts.cpus = 32;
+    opts.statesPerCpu = 3'000;
+    return buildRandomTrace(61, opts);
+}
+
+/**
+ * Catch a Background pyramid build on a fresh one-worker @p session
+ * midway: start it, let it run for a while, then take the worker with
+ * an interactive task blocking on a fresh @p gate, so the build yields
+ * at its next unit boundary. The wait adapts until the parked build
+ * has built some CPUs but not all: a build that had finished shortens
+ * it, one that had built nothing lengthens it. (Polling progress does
+ * not work: TracePyramids::size() waits behind each build's shard
+ * lock.) Returns the parked build, or an invalid ticket if every
+ * attempt missed.
+ */
+QueryTicket<PyramidBuildStats>
+parkBuildMidway(const trace::Trace &tr, std::optional<Session> &session,
+                std::shared_ptr<Gate> &gate)
+{
+    std::chrono::microseconds delay(500);
+    for (int attempt = 0; attempt < 40; attempt++) {
+        session.emplace(Session::view(tr));
+        gate = std::make_shared<Gate>();
+        auto build = session->submit(PyramidBuildQuery{});
+        while (build.status() == QueryStatus::Pending)
+            std::this_thread::yield();
+        std::this_thread::sleep_for(delay);
+        occupyWithInteractive(*session, gate);
+        // The only worker is parked: nothing builds meanwhile.
+        const std::size_t built = session->pyramids()->size();
+        if (!build.done() && built > 0 && built < tr.numCpus())
+            return build;
+        gate->release();
+        build.wait();
+        delay = built == 0 ? delay * 2 : delay / 2;
+    }
+    return {};
+}
+
+TEST(SummaryPyramid, BuildCancelledWhileQueuedBuildsNothing)
+{
+    trace::Trace tr = buildRandomTrace(59);
+    Session session = Session::view(tr); // One worker.
+    auto gate = std::make_shared<Gate>();
+    occupyWithInteractive(session, gate);
+    auto build = session.submit(PyramidBuildQuery{});
+    EXPECT_EQ(build.status(), QueryStatus::Pending);
+    build.cancel();
+    gate->release();
+    EXPECT_EQ(build.wait(), QueryStatus::Cancelled);
+    EXPECT_EQ(session.pyramids()->size(), 0u);
+}
+
+TEST(SummaryPyramid, BuildCancelledMidwayKeepsBuiltPyramids)
+{
+    trace::Trace tr = buildHeavyTrace();
+    std::optional<Session> session;
+    std::shared_ptr<Gate> gate;
+    auto build = parkBuildMidway(tr, session, gate);
+    ASSERT_TRUE(build.valid()) << "never caught the build midway";
+    const std::size_t kept = session->pyramids()->size();
+    build.cancel();
+    gate->release();
+    ASSERT_EQ(build.wait(), QueryStatus::Cancelled);
+    EXPECT_EQ(session->pyramids()->size(), kept);
+
+    // The follow-up build visits every CPU but builds only the rest.
+    PyramidBuildStats rest = session->submit(PyramidBuildQuery{}).take();
+    EXPECT_EQ(rest.cpusVisited, tr.numCpus());
+    EXPECT_EQ(rest.cpusBuilt, tr.numCpus() - kept);
+    EXPECT_EQ(session->pyramids()->size(), tr.numCpus());
+}
+
+TEST(SummaryPyramid, BackgroundBuildYieldsToInteractiveStorm)
+{
+    trace::Trace tr = buildHeavyTrace();
+    const TimeInterval span = tr.span();
+    std::optional<Session> session;
+    std::shared_ptr<Gate> gate;
+    auto build = parkBuildMidway(tr, session, gate);
+    ASSERT_TRUE(build.valid()) << "never caught the build midway";
+
+    // The storm queues behind the parked interactive task and, on the
+    // one worker, runs before the yielded build resumes.
+    std::vector<QueryTicket<index::MinMax>> storm;
+    std::atomic<int> after_build{0};
+    for (CpuId c = 0; c < 8; c++) {
+        storm.push_back(session->submit(CounterExtremaQuery{
+            {span}, c, static_cast<CounterId>(c % 2)}));
+        storm.back().onComplete([build, &after_build](QueryStatus) {
+            if (build.done())
+                after_build.fetch_add(1, std::memory_order_relaxed);
+        });
+    }
+    gate->release();
+    for (auto &ticket : storm)
+        EXPECT_EQ(ticket.wait(), QueryStatus::Done);
+    ASSERT_EQ(build.wait(), QueryStatus::Done);
+    EXPECT_EQ(after_build.load(), 0);
+    EXPECT_EQ(build.result().cpusBuilt, tr.numCpus());
+
+    // Yielding changed nothing: every pyramid answers exactly like the
+    // ones four workers built.
+    Session wide = Session::view(tr);
+    wide.setConcurrency({4});
+    ASSERT_EQ(wide.submit(PyramidBuildQuery{}).take().cpusBuilt,
+              tr.numCpus());
+    Rng rng(67);
+    for (int i = 0; i < 20; i++) {
+        const TimeInterval interval = randomInterval(rng, span);
+        QueryContext context{
+            interval, QueryPriority::Interactive,
+            Resolution::budget(
+                std::max<TimeStamp>(1, interval.duration() / 16))};
+        stats::IntervalStats a =
+            session->submit(IntervalStatsQuery{context}).take();
+        stats::IntervalStats b =
+            wide.submit(IntervalStatsQuery{context}).take();
+        EXPECT_EQ(a.interval, b.interval);
+        EXPECT_EQ(a.timeInState, b.timeInState);
+        EXPECT_EQ(a.tasksStarted, b.tasksStarted);
+        EXPECT_EQ(a.tasksOverlapping, b.tasksOverlapping);
+        EXPECT_EQ(a.resolution.nodesTouched, b.resolution.nodesTouched);
+        for (CpuId c = 0; c < tr.numCpus(); c += 5) {
+            CounterExtremaQuery extrema{context, c, 0};
+            index::MinMax ea = session->submit(extrema).take();
+            index::MinMax eb = wide.submit(extrema).take();
+            EXPECT_EQ(ea.valid, eb.valid);
+            EXPECT_EQ(ea.min, eb.min);
+            EXPECT_EQ(ea.max, eb.max);
+        }
+    }
 }
 
 TEST(SummaryPyramid, RenderAtPixelsResolutionReportsProvenance)
