@@ -11,7 +11,8 @@
  * bytes), and — on machines with >= 4 hardware threads — requires a
  * >= 2x speedup at >= 4 workers. Results are emitted as JSON lines
  * (BENCH_sec7_parallel_load.json) with the workers field for the perf
- * trajectory.
+ * trajectory, including the scan / decode / finalize split of every
+ * timed worker count (scan_wN, decode_wN, finalize_wN).
  */
 
 #include <algorithm>
@@ -26,32 +27,53 @@ using namespace aftermath;
 
 namespace {
 
-/** Wall time of one cold load, seconds; aborts on a failed read. */
-double
-timeLoad(const std::vector<std::uint8_t> &bytes, unsigned workers)
+/** Wall time of a cold load and of its stages, seconds. */
+struct LoadTimes
 {
-    trace::ReadOptions options;
-    options.workers = workers;
-    auto start = std::chrono::steady_clock::now();
-    trace::ReadResult result = trace::readTrace(bytes, options);
-    std::chrono::duration<double> d =
-        std::chrono::steady_clock::now() - start;
-    if (!result.ok) {
-        std::fprintf(stderr, "read failed: %s\n", result.error.c_str());
-        std::exit(1);
-    }
-    return d.count();
-}
+    double total = 0.0;
+    double scan = 0.0;
+    double decode = 0.0;
+    double finalize = 0.0;
+};
 
-/** Average cold-load time over @p reps, seconds. */
-double
+/** Average cold-load times over @p reps; aborts on a failed read. */
+LoadTimes
 averageLoad(const std::vector<std::uint8_t> &bytes, unsigned workers,
             int reps)
 {
-    double total = 0.0;
-    for (int r = 0; r < reps; r++)
-        total += timeLoad(bytes, workers);
-    return total / reps;
+    trace::ReadOptions options;
+    options.workers = workers;
+    LoadTimes sum;
+    for (int r = 0; r < reps; r++) {
+        auto start = std::chrono::steady_clock::now();
+        trace::ReadResult result = trace::readTrace(bytes, options);
+        std::chrono::duration<double> d =
+            std::chrono::steady_clock::now() - start;
+        if (!result.ok) {
+            std::fprintf(stderr, "read failed: %s\n", result.error.c_str());
+            std::exit(1);
+        }
+        sum.total += d.count();
+        sum.scan += result.scanSeconds;
+        sum.decode += result.decodeSeconds;
+        sum.finalize += result.finalizeSeconds;
+    }
+    return {sum.total / reps, sum.scan / reps, sum.decode / reps,
+            sum.finalize / reps};
+}
+
+/** Emit the stage split of one worker count as JSON rows. */
+void
+addStages(bench::JsonLines &json, const LoadTimes &t, unsigned workers)
+{
+    const int w = static_cast<int>(workers);
+    json.add(strFormat("scan_w%u", workers), t.scan, "s", w);
+    json.add(strFormat("decode_w%u", workers), t.decode, "s", w);
+    json.add(strFormat("finalize_w%u", workers), t.finalize, "s", w);
+    bench::row(strFormat("  stages at %u worker%s", workers,
+                         workers == 1 ? "" : "s"),
+               strFormat("scan %.4f s, decode %.4f s, finalize %.4f s",
+                         t.scan, t.decode, t.finalize));
 }
 
 } // namespace
@@ -88,16 +110,18 @@ main()
     bench::row("raw stream", humanBytes(raw.size()));
 
     // Calibrate repetitions so each timing covers >= ~50 ms of work.
-    double probe = timeLoad(compact, 1);
+    double probe = averageLoad(compact, 1, 1).total;
     int reps = static_cast<int>(
         std::clamp(0.05 / std::max(probe, 1e-6), 3.0, 30.0));
 
-    double serial_s = averageLoad(compact, 1, reps);
+    LoadTimes serial = averageLoad(compact, 1, reps);
+    double serial_s = serial.total;
     json.add("serial_load_compact", serial_s, "s", 1);
     bench::row("serial load (compact)",
                strFormat("%.4f s (avg of %d, %.0f MiB/s)", serial_s, reps,
                          static_cast<double>(compact.size()) / 1048576.0 /
                              serial_s));
+    addStages(json, serial, 1);
 
     // Worker counts above the hardware concurrency only timeslice the
     // same cores: the sweep skips them (with a machine-readable
@@ -114,7 +138,8 @@ main()
                                  hw, hw == 1 ? "" : "s"));
             continue;
         }
-        double parallel_s = averageLoad(compact, workers, reps);
+        LoadTimes parallel = averageLoad(compact, workers, reps);
+        double parallel_s = parallel.total;
         double speedup = parallel_s > 0 ? serial_s / parallel_s : 0;
         json.add(strFormat("parallel_load_w%u", workers), parallel_s,
                  "s", static_cast<int>(workers));
@@ -122,15 +147,16 @@ main()
                  static_cast<int>(workers));
         bench::row(strFormat("%u workers", workers),
                    strFormat("%.4f s (%.2fx)", parallel_s, speedup));
+        addStages(json, parallel, workers);
         if (workers >= 4)
             speedup_at_4plus = std::max(speedup_at_4plus, speedup);
     }
 
-    double raw_serial_s = averageLoad(raw, 1, reps);
+    double raw_serial_s = averageLoad(raw, 1, reps).total;
     json.add("serial_load_raw", raw_serial_s, "s", 1);
     unsigned raw_workers = std::max(4u, std::min(std::max(hw, 1u), 8u));
     if (hw == 0 || hw >= 4) {
-        double raw_parallel_s = averageLoad(raw, raw_workers, reps);
+        double raw_parallel_s = averageLoad(raw, raw_workers, reps).total;
         json.add("parallel_load_raw", raw_parallel_s, "s",
                  static_cast<int>(raw_workers));
         bench::row("raw encoding",

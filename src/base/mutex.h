@@ -60,7 +60,6 @@
  *   kThreadPool (400)       base::ThreadPool::mutex_ — every enqueue
  *                           path ends here, so everything above must
  *                           rank lower.
- *   kDecodePipeline (410)   trace reader scan→decode lane queues.
  *   kTicketState (500)      per-query completion state (TicketState).
  *   kTaskState (510)        leaf completion gates: TaskHandle state,
  *                           parallelFor join gates.
@@ -101,7 +100,6 @@ inline constexpr int kCounterIndexShard = 300;
 inline constexpr int kPyramidShard = 305;
 inline constexpr int kRendererPool = 310;
 inline constexpr int kThreadPool = 400;
-inline constexpr int kDecodePipeline = 410;
 inline constexpr int kTicketState = 500;
 inline constexpr int kTaskState = 510;
 

@@ -11,30 +11,31 @@
  * stretch with one masked 8-byte prefix compare and one word-at-a-time
  * varint skip per frame.
  *
- * Phase 2 decodes the stretches. With workers > 1 it runs *during* the
- * scan: full batches stream to a per-lane serial executor on a private
- * base::ThreadPool (each lane has a FIFO and at most one active pump,
- * so its container fills in exact stream order with its own delta
- * registers), and the decode wall-clock hides behind the scan. Decode
- * diagnostics merge by lowest byte offset, which makes the reported
- * error — like the trace itself — independent of worker count and
- * scheduling.
+ * Phase 2 starts when the scan ends and decodes each lane's stretches
+ * with one function. With workers > 1 and enough frames, the lanes are
+ * one parallelFor on a private base::ThreadPool, largest lane first;
+ * each lane fills its own container in stream order with its own delta
+ * registers. The decode does not overlap the scan on purpose: the lane
+ * decode still left when the scan ends takes as long as a whole decode
+ * run after it, so overlapping them (per-lane batch queues fed by the
+ * scan) buys no wall time. Decode diagnostics merge by lowest byte
+ * offset, which makes the reported error — like the trace itself —
+ * independent of worker count and scheduling.
  */
 
 #include "trace/reader.h"
 
-#include <atomic>
+#include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <memory>
+#include <thread>
 
 #include "base/buffer.h"
-#include "base/mutex.h"
 #include "base/string_util.h"
-#include "base/thread_annotations.h"
 
 namespace aftermath {
 namespace trace {
@@ -66,25 +67,17 @@ packStretch(std::size_t offset, std::size_t count)
            (static_cast<std::uint64_t>(count) << kStretchCountShift);
 }
 
-/** One previous-timestamp register per delta class (one CPU's worth). */
-struct DeltaRegisters
-{
-    TimeStamp last[static_cast<std::size_t>(DeltaClass::NumClasses)] = {};
-};
-
 /**
  * Mirrors TraceWriter's encoding decisions while decoding. One decoder
  * serves either the global frames (which never carry delta-coded
- * timestamps) or exactly one CPU's frame run: the delta registers are
- * one per class, not per (class, cpu), and live with the caller so a
- * CPU's run can decode across several batches of the pipelined reader.
+ * timestamps) or exactly one lane's frames, so it owns one
+ * previous-timestamp register per delta class, not per (class, cpu).
  */
 class FrameDecoder
 {
   public:
-    FrameDecoder(ByteReader &reader, Encoding encoding,
-                 DeltaRegisters &registers)
-        : reader_(reader), encoding_(encoding), registers_(registers)
+    FrameDecoder(ByteReader &reader, Encoding encoding)
+        : reader_(reader), encoding_(encoding)
     {}
 
     std::uint64_t
@@ -111,7 +104,7 @@ class FrameDecoder
     {
         if (encoding_ != Encoding::Compact)
             return reader_.readU64();
-        TimeStamp &last = registers_.last[static_cast<std::size_t>(cls)];
+        TimeStamp &last = last_[static_cast<std::size_t>(cls)];
         std::int64_t delta = reader_.readSignedVarint();
         TimeStamp time = static_cast<TimeStamp>(
             static_cast<std::int64_t>(last) + delta);
@@ -130,7 +123,7 @@ class FrameDecoder
   private:
     ByteReader &reader_;
     Encoding encoding_;
-    DeltaRegisters &registers_;
+    TimeStamp last_[static_cast<std::size_t>(DeltaClass::NumClasses)] = {};
 };
 
 /**
@@ -206,22 +199,10 @@ skipLanePayload(ByteReader &reader, Encoding encoding, FrameType type)
     reader.skip(layout.rawPayload);
 }
 
-/** First decode error of one lane's frame run. */
-struct CpuDecodeStatus
-{
-    std::size_t errorOffset = std::numeric_limits<std::size_t>::max();
-    std::string error;
-
-    bool failed() const
-    {
-        return errorOffset != std::numeric_limits<std::size_t>::max();
-    }
-};
-
 /**
- * Decode lanes: every CPU timeline is one lane, and the three bulk
- * global containers — task instances, memory regions, memory accesses
- * — are one lane each (lane = numCpus + k below). Frames of one lane
+ * Decode lanes: the three bulk global containers — task instances,
+ * memory regions, memory accesses — are lanes 0-2 (globalLaneIndex()),
+ * and CPU c's timeline is lane kNumGlobalLanes + c. Frames of one lane
  * decode strictly in stream order, so each container fills exactly as
  * the serial reader would fill it; different lanes touch disjoint
  * Trace members and decode concurrently.
@@ -239,41 +220,60 @@ globalLaneIndex(FrameType type)
 }
 
 /**
- * Decode one batch of a CPU's frame stretches into its timeline, in
- * stream order, carrying the delta registers across batches. The scan
- * already validated frame structure and CPU ids, so the only possible
- * failures are value-level (a varint over-long or overflowing a 32-bit
- * field).
+ * Frames between two polls of the yield hook and the cancel token, in
+ * the scan and in lane decode alike (a power of two: polls test a mask).
  */
-void
-decodeBatch(const std::vector<std::uint8_t> &bytes, Encoding encoding,
-            const std::vector<std::uint64_t> &stretches,
-            CpuTimeline &timeline, DeltaRegisters &registers,
-            const base::CancellationToken &cancel,
-            std::atomic<bool> &cancelled, CpuDecodeStatus &status)
+constexpr std::size_t kPollFrames = 4096;
+
+/**
+ * Lane frames below which the decode stays on the calling thread even
+ * with workers > 1: starting a pool costs more than decoding them.
+ */
+constexpr std::size_t kParallelDecodeFrames = 4096;
+
+/** decodeLane()'s "no corrupt frame" result. */
+constexpr std::size_t kNoError = std::numeric_limits<std::size_t>::max();
+
+/**
+ * Decode one lane's stretches into its container, in stream order.
+ * The scan already validated frame structure and CPU ids, so the only
+ * possible failures are value-level (a varint over-long or overflowing
+ * a 32-bit field); semantic validation that needs the whole trace (a
+ * task instance on an out-of-range CPU) is finalize()'s job, exactly as
+ * for directly populated traces.
+ *
+ * Every kPollFrames frames — counted in @p polled, which the calling
+ * thread carries across the scan and all its lanes — the decode runs
+ * @p yield (null off the calling thread) and stops if @p cancel was
+ * requested. Returns the tag offset of the lane's first corrupt frame,
+ * or kNoError (also when cancelled: the caller checks the token).
+ */
+std::size_t
+decodeLane(const std::vector<std::uint8_t> &bytes, Encoding encoding,
+           const std::vector<std::uint64_t> &stretches, Trace &trace,
+           const base::CancellationToken &cancel,
+           const std::function<void()> *yield, std::size_t &polled)
 {
-    if (status.failed())
-        return;
     ByteReader reader(bytes);
-    FrameDecoder decoder(reader, encoding, registers);
-    std::size_t frames_seen = 0;
+    FrameDecoder decoder(reader, encoding);
     for (std::uint64_t stretch : stretches) {
         reader.seek(static_cast<std::size_t>(stretch &
                                              kStretchOffsetMask));
         const std::size_t count =
             static_cast<std::size_t>(stretch >> kStretchCountShift);
         for (std::size_t k = 0; k < count; k++) {
-            if ((frames_seen++ & 0x3ff) == 0 &&
-                (cancelled.load(std::memory_order_relaxed) ||
-                 cancel.cancelled())) {
-                cancelled.store(true, std::memory_order_relaxed);
-                return;
+            if ((++polled & (kPollFrames - 1)) == 0) {
+                if (yield && *yield)
+                    (*yield)();
+                if (cancel.cancelled())
+                    return kNoError;
             }
             const std::size_t offset = reader.offset();
             FrameType type = static_cast<FrameType>(reader.readU8());
             switch (type) {
               case FrameType::StateEvent: {
-                decoder.readValue32(); // CPU id, validated by the scan.
+                // The CPU id names this lane (validated by the scan).
+                CpuTimeline &timeline = trace.cpu(decoder.readValue32());
                 StateEvent ev;
                 ev.state = decoder.readValue32();
                 ev.interval.start = decoder.readTime(DeltaClass::State);
@@ -284,7 +284,7 @@ decodeBatch(const std::vector<std::uint8_t> &bytes, Encoding encoding,
                 break;
               }
               case FrameType::CounterSample: {
-                decoder.readValue32();
+                CpuTimeline &timeline = trace.cpu(decoder.readValue32());
                 CounterId counter = decoder.readValue32();
                 CounterSample sample;
                 sample.time = decoder.readTime(DeltaClass::Counter);
@@ -294,7 +294,7 @@ decodeBatch(const std::vector<std::uint8_t> &bytes, Encoding encoding,
                 break;
               }
               case FrameType::DiscreteEvent: {
-                decoder.readValue32();
+                CpuTimeline &timeline = trace.cpu(decoder.readValue32());
                 DiscreteEvent ev;
                 ev.type = static_cast<DiscreteType>(decoder.readValue32());
                 ev.time = decoder.readTime(DeltaClass::Discrete);
@@ -304,7 +304,7 @@ decodeBatch(const std::vector<std::uint8_t> &bytes, Encoding encoding,
                 break;
               }
               case FrameType::CommEvent: {
-                decoder.readValue32();
+                CpuTimeline &timeline = trace.cpu(decoder.readValue32());
                 CommEvent ev;
                 ev.kind = static_cast<CommKind>(reader.readU8());
                 ev.time = decoder.readTime(DeltaClass::Comm);
@@ -316,54 +316,6 @@ decodeBatch(const std::vector<std::uint8_t> &bytes, Encoding encoding,
                     timeline.addComm(ev);
                 break;
               }
-              default:
-                // The scan only records per-CPU frame tags.
-                reader.markFailed();
-            }
-            if (!reader.ok()) {
-                status.errorOffset = offset;
-                status.error = strFormat("corrupt %s frame at offset %zu",
-                                         frameTypeName(type), offset);
-                return;
-            }
-        }
-    }
-}
-
-/**
- * Decode one batch of a global lane's frame stretches into the trace's
- * corresponding container, in stream order. Semantic validation that
- * needs the whole trace (a task instance on an out-of-range CPU) is
- * finalize()'s job, exactly as for directly populated traces.
- */
-void
-decodeGlobalBatch(const std::vector<std::uint8_t> &bytes,
-                  Encoding encoding,
-                  const std::vector<std::uint64_t> &stretches, Trace &trace,
-                  const base::CancellationToken &cancel,
-                  std::atomic<bool> &cancelled, CpuDecodeStatus &status)
-{
-    if (status.failed())
-        return;
-    ByteReader reader(bytes);
-    DeltaRegisters registers; // Unused: global frames carry no times.
-    FrameDecoder decoder(reader, encoding, registers);
-    std::size_t frames_seen = 0;
-    for (std::uint64_t stretch : stretches) {
-        reader.seek(static_cast<std::size_t>(stretch &
-                                             kStretchOffsetMask));
-        const std::size_t count =
-            static_cast<std::size_t>(stretch >> kStretchCountShift);
-        for (std::size_t k = 0; k < count; k++) {
-            if ((frames_seen++ & 0x3ff) == 0 &&
-                (cancelled.load(std::memory_order_relaxed) ||
-                 cancel.cancelled())) {
-                cancelled.store(true, std::memory_order_relaxed);
-                return;
-            }
-            const std::size_t offset = reader.offset();
-            FrameType type = static_cast<FrameType>(reader.readU8());
-            switch (type) {
               case FrameType::TaskInstance: {
                 TaskInstance instance;
                 instance.id = decoder.readValue();
@@ -401,98 +353,23 @@ decodeGlobalBatch(const std::vector<std::uint8_t> &bytes,
                 break;
               }
               default:
-                // The scan only records this lane's frame tags.
+                // The scan only records lane frame tags.
                 reader.markFailed();
             }
-            if (!reader.ok()) {
-                status.errorOffset = offset;
-                status.error = strFormat("corrupt %s frame at offset %zu",
-                                         frameTypeName(type), offset);
-                return;
-            }
+            if (!reader.ok())
+                return offset;
         }
     }
+    return kNoError;
 }
 
-/** Frames per batch handed from the scan to the decode workers. */
-constexpr std::size_t kBatchFrames = 4096;
-
-/**
- * The scan-to-decoder pipeline: while the serial scan walks the byte
- * stream, completed lane batches decode concurrently on the pool, so
- * decode wall-clock hides behind the scan instead of following it.
- *
- * Per-lane order is preserved by a per-key serial executor: each lane
- * has a FIFO of pending batches and at most one active pump task; the
- * pump drains the FIFO, carrying the lane's delta registers and error
- * slot, which only the active pump touches (handoff happens-before via
- * the mutex). The mutex-shared half (LaneQueue) and the pump-owned
- * half (LaneDecode) are separate structs so the guarded accesses are
- * exactly the queue operations — the decode state needs no lock by
- * construction.
- */
-struct DecodePipeline
+/** Mark @p result as a cancelled load. */
+ReadResult
+cancelledLoad(ReadResult result)
 {
-    explicit DecodePipeline(std::size_t num_lanes)
-        : queues(num_lanes), decode(num_lanes)
-    {}
-
-    /** One lane's batch FIFO and pump-active flag. */
-    struct LaneQueue
-    {
-        std::deque<std::vector<std::uint64_t>> pending;
-        bool active = false;
-    };
-
-    /**
-     * One lane's decode carry: exclusively owned by the lane's single
-     * active pump (at most one exists; the active flag's lock hand-off
-     * makes successive pumps happen-before ordered).
-     */
-    struct LaneDecode
-    {
-        DeltaRegisters registers;
-        CpuDecodeStatus status;
-    };
-
-    base::Mutex mutex{base::lockrank::kDecodePipeline,
-                      "decode-pipeline"};
-    std::vector<LaneQueue> queues AM_GUARDED_BY(mutex);
-    std::vector<LaneDecode> decode;
-    std::atomic<bool> cancelled{false};
-};
-
-void
-pumpLane(const std::shared_ptr<DecodePipeline> &pipeline,
-         const std::vector<std::uint8_t> &bytes, Encoding encoding,
-         Trace &trace, std::size_t lane,
-         const base::CancellationToken &cancel)
-{
-    DecodePipeline::LaneDecode &state = pipeline->decode[lane];
-    const std::size_t num_cpus = pipeline->decode.size() - kNumGlobalLanes;
-    for (;;) {
-        std::vector<std::uint64_t> batch;
-        {
-            base::MutexLock lock(pipeline->mutex);
-            DecodePipeline::LaneQueue &queue = pipeline->queues[lane];
-            if (queue.pending.empty() ||
-                pipeline->cancelled.load(std::memory_order_relaxed)) {
-                queue.active = false;
-                return;
-            }
-            batch = std::move(queue.pending.front());
-            queue.pending.pop_front();
-        }
-        if (lane < num_cpus) {
-            decodeBatch(bytes, encoding, batch,
-                        trace.cpu(static_cast<CpuId>(lane)),
-                        state.registers, cancel, pipeline->cancelled,
-                        state.status);
-        } else {
-            decodeGlobalBatch(bytes, encoding, batch, trace, cancel,
-                              pipeline->cancelled, state.status);
-        }
-    }
+    result.cancelled = true;
+    result.error = "trace load cancelled";
+    return result;
 }
 
 } // namespace
@@ -527,52 +404,22 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
     result.trace.setCpuFreqHz(cpu_freq);
 
     // ---- Phase 1: serial frame scan ------------------------------------
-    DeltaRegisters scan_registers; // Unused: global frames carry no times.
-    FrameDecoder decoder(reader, encoding, scan_registers);
+    const auto scan_start = std::chrono::steady_clock::now();
+    FrameDecoder decoder(reader, encoding);
     Trace &trace = result.trace;
-    std::vector<std::vector<std::uint64_t>> runs;
-    std::vector<std::size_t> frames_buffered;
+    std::vector<std::vector<std::uint64_t>> runs(kNumGlobalLanes);
     std::size_t scanned = 0;
     bool have_topology = false;
     bool done = false;
 
-    const unsigned max_workers = options.workers == 0
-                                     ? base::ThreadPool::defaultWorkers()
-                                     : options.workers;
-    std::unique_ptr<base::ThreadPool> pool;
-    std::shared_ptr<DecodePipeline> pipeline;
-
-    // Hand one lane's accumulated batch to the decode pipeline. The
-    // pipeline (and its pool) starts lazily on the first full batch,
-    // so small traces never pay thread start-up and decode serially.
-    auto flush_batch = [&](std::size_t lane) {
-        if (!pipeline) {
-            const std::size_t num_lanes = runs.size();
-            pipeline = std::make_shared<DecodePipeline>(num_lanes);
-            pool = std::make_unique<base::ThreadPool>(
-                std::min<unsigned>(max_workers,
-                                   static_cast<unsigned>(num_lanes)));
-        }
-        bool start_pump;
-        {
-            base::MutexLock lock(pipeline->mutex);
-            DecodePipeline::LaneQueue &queue = pipeline->queues[lane];
-            queue.pending.push_back(std::move(runs[lane]));
-            start_pump = !queue.active;
-            if (start_pump)
-                queue.active = true;
-        }
-        runs[lane].clear();
-        frames_buffered[lane] = 0;
-        if (start_pump) {
-            auto p = pipeline;
-            Trace *t = &trace;
-            const std::vector<std::uint8_t> *b = &bytes;
-            base::CancellationToken cancel = options.cancel;
-            pool->submit([p, b, encoding, t, lane, cancel] {
-                pumpLane(p, *b, encoding, *t, lane, cancel);
-            });
-        }
+    // Every kPollFrames scanned frames: donate the thread, then report
+    // whether the load was cancelled.
+    auto poll_cancelled = [&] {
+        if ((++scanned & (kPollFrames - 1)) != 0)
+            return false;
+        if (options.yield)
+            options.yield();
+        return options.cancel.cancelled();
     };
 
     // The open stretch of consecutive frames on one lane; closing it
@@ -586,11 +433,7 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
             return;
         runs[stretch_lane].push_back(
             packStretch(stretch_start, stretch_count));
-        frames_buffered[stretch_lane] += stretch_count;
         stretch_count = 0;
-        if (max_workers > 1 &&
-            frames_buffered[stretch_lane] >= kBatchFrames)
-            flush_batch(stretch_lane);
     };
 
     auto append_frame = [&](std::size_t lane, std::size_t offset) {
@@ -602,17 +445,6 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
             stretch_start = offset;
         }
         stretch_count++;
-    };
-
-    // A failed or cancelled scan must stop the decode pipeline before
-    // `result` leaves the function: the pumps hold pointers into
-    // result.trace, so they have to be parked before any return that
-    // might move it. Invoked ahead of every early return in the scan.
-    auto abort_pipeline = [&] {
-        if (!pipeline)
-            return;
-        pipeline->cancelled.store(true, std::memory_order_relaxed);
-        pool->wait();
     };
 
     auto check_cpu = [&](CpuId cpu, FrameType type,
@@ -725,7 +557,6 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
                                     "truncated or corrupt %s frame at "
                                     "offset %zu",
                                     frameTypeName(prefix_type), pos);
-                                abort_pipeline();
                                 return result;
                             }
                             if (prefix_layout.trailingByte)
@@ -742,16 +573,8 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
                         }
                         stretch_count++;
                         pos = p;
-                        if ((++scanned & 0xfff) == 0) {
-                            if (options.yield)
-                                options.yield();
-                            if (options.cancel.cancelled()) {
-                                result.cancelled = true;
-                                result.error = "trace load cancelled";
-                                abort_pipeline();
-                                return result;
-                            }
-                        }
+                        if (poll_cancelled())
+                            return cancelledLoad(std::move(result));
                         continue;
                     }
                 }
@@ -779,7 +602,6 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
                                 "truncated or corrupt %s frame at "
                                 "offset %zu",
                                 frameTypeName(ftype), frame_offset);
-                            abort_pipeline();
                             return result;
                         }
                     } else {
@@ -795,10 +617,9 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
                             "%s frame at offset %zu: event on cpu %u "
                             "outside topology",
                             frameTypeName(ftype), frame_offset, cpu);
-                        abort_pipeline();
                         return result;
                     }
-                    lane = cpu;
+                    lane = kNumGlobalLanes + cpu;
                 } else {
                     if (compact) {
                         // The trailing is-write byte must exist beyond
@@ -812,7 +633,6 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
                                 "truncated or corrupt %s frame at "
                                 "offset %zu",
                                 frameTypeName(ftype), frame_offset);
-                            abort_pipeline();
                             return result;
                         }
                         if (layout.trailingByte)
@@ -820,7 +640,7 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
                     } else {
                         p += layout.rawPayload;
                     }
-                    lane = trace.numCpus() + globalLaneIndex(ftype);
+                    lane = globalLaneIndex(ftype);
                 }
                 append_frame(lane, frame_offset);
                 // Cache this frame's prefix for the stretch fast path
@@ -836,37 +656,20 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
                 prefix_lane = lane;
                 prefix_type = ftype;
                 pos = p;
-                if ((++scanned & 0xfff) == 0) {
-                    if (options.yield)
-                        options.yield();
-                    if (options.cancel.cancelled()) {
-                        result.cancelled = true;
-                        result.error = "trace load cancelled";
-                        abort_pipeline();
-                        return result;
-                    }
-                }
+                if (poll_cancelled())
+                    return cancelledLoad(std::move(result));
             }
             reader.seek(pos);
         }
 
-        if ((++scanned & 0xfff) == 0) {
-            if (options.yield)
-                options.yield();
-            if (options.cancel.cancelled()) {
-                result.cancelled = true;
-                result.error = "trace load cancelled";
-                abort_pipeline();
-                return result;
-            }
-        }
+        if (poll_cancelled())
+            return cancelledLoad(std::move(result));
         std::size_t frame_offset = reader.offset();
         std::uint8_t type_raw = reader.readU8();
         if (!reader.ok()) {
             result.error = strFormat(
                 "truncated trace at offset %zu: missing end-of-trace frame",
                 frame_offset);
-            abort_pipeline();
             return result;
         }
         FrameType type = static_cast<FrameType>(type_raw);
@@ -886,7 +689,6 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
             if (have_topology) {
                 result.error = strFormat(
                     "duplicate topology frame at offset %zu", frame_offset);
-                abort_pipeline();
                 return result;
             }
             std::uint32_t num_cpus = decoder.readValue32();
@@ -895,7 +697,6 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
                 num_nodes == 0 || num_nodes > kMaxNodes) {
                 result.error = strFormat(
                     "invalid topology frame at offset %zu", frame_offset);
-                abort_pipeline();
                 return result;
             }
             std::vector<NodeId> cpu_to_node(num_cpus);
@@ -906,7 +707,6 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
                         "cpu mapped to invalid node in topology frame "
                         "at offset %zu",
                         frame_offset);
-                    abort_pipeline();
                     return result;
                 }
             }
@@ -917,13 +717,11 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
             if (!reader.ok()) {
                 result.error = strFormat(
                     "truncated topology frame at offset %zu", frame_offset);
-                abort_pipeline();
                 return result;
             }
             trace.setTopology(MachineTopology::custom(
                 std::move(cpu_to_node), num_nodes, std::move(distances)));
-            runs.resize(trace.numCpus() + kNumGlobalLanes);
-            frames_buffered.resize(trace.numCpus() + kNumGlobalLanes, 0);
+            runs.resize(kNumGlobalLanes + trace.numCpus());
             have_topology = true;
             break;
           }
@@ -959,77 +757,27 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
             skipLanePayload(reader, encoding, type);
             if (!reader.ok())
                 break;
-            if (!check_cpu(cpu, type, frame_offset)) {
-                abort_pipeline();
+            if (!check_cpu(cpu, type, frame_offset))
                 return result;
-            }
-            append_frame(cpu, frame_offset);
+            append_frame(kNumGlobalLanes + cpu, frame_offset);
             break;
           }
-          case FrameType::TaskInstance: {
-            if (have_topology) {
-                // Buffer-tail frame: skip and hand to the task lane
-                // (finalize() validates instance CPUs, as for directly
-                // populated traces).
-                skipLanePayload(reader, encoding, type);
-                if (reader.ok())
-                    append_frame(trace.numCpus() + globalLaneIndex(type),
-                                 frame_offset);
-                break;
-            }
-            TaskInstance instance;
-            instance.id = decoder.readValue();
-            instance.type = decoder.readValue();
-            instance.cpu = decoder.readValue32();
-            instance.interval.start = decoder.readValue();
-            instance.interval.end = instance.interval.start +
-                                    decoder.readValue();
+          case FrameType::TaskInstance:
+          case FrameType::MemRegion:
+          case FrameType::MemAccess: {
+            // The global lanes exist from the start, so memory frames
+            // may come before the topology. A task instance names a
+            // CPU, so it may not (finalize() checks that CPU's range).
+            skipLanePayload(reader, encoding, type);
             if (!reader.ok())
                 break;
-            // Unreachable on success: no topology yet means the frame
-            // is premature.
-            if (!check_cpu(instance.cpu, type, frame_offset)) {
-                abort_pipeline();
+            if (type == FrameType::TaskInstance && !have_topology) {
+                result.error = strFormat(
+                    "%s frame at offset %zu precedes the topology frame",
+                    frameTypeName(type), frame_offset);
                 return result;
             }
-            break;
-          }
-          case FrameType::MemRegion: {
-            if (have_topology) {
-                skipLanePayload(reader, encoding, type);
-                if (reader.ok())
-                    append_frame(trace.numCpus() + globalLaneIndex(type),
-                                 frame_offset);
-                break;
-            }
-            // Legal before the topology frame: decode directly (the
-            // lanes exist only once the topology sizes them).
-            MemRegion region;
-            region.id = decoder.readValue();
-            region.address = decoder.readValue();
-            region.size = decoder.readValue();
-            std::uint32_t node = decoder.readValue32();
-            region.node = node == std::numeric_limits<std::uint32_t>::max()
-                              ? kInvalidNode : node;
-            if (reader.ok())
-                trace.addMemRegion(region);
-            break;
-          }
-          case FrameType::MemAccess: {
-            if (have_topology) {
-                skipLanePayload(reader, encoding, type);
-                if (reader.ok())
-                    append_frame(trace.numCpus() + globalLaneIndex(type),
-                                 frame_offset);
-                break;
-            }
-            MemAccess access;
-            access.task = decoder.readValue();
-            access.address = decoder.readValue();
-            access.size = decoder.readValue();
-            access.isWrite = reader.readU8() != 0;
-            if (reader.ok())
-                trace.addMemAccess(access);
+            append_frame(globalLaneIndex(type), frame_offset);
             break;
           }
           case FrameType::EndOfTrace:
@@ -1038,7 +786,6 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
           default:
             result.error = strFormat("unknown frame type %u at offset %zu",
                                      type_raw, frame_offset);
-            abort_pipeline();
             return result;
         }
 
@@ -1046,89 +793,102 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
             result.error = strFormat(
                 "truncated or corrupt %s frame at offset %zu",
                 frameTypeName(type), frame_offset);
-            abort_pipeline();
             return result;
         }
     }
 
     if (!have_topology) {
         result.error = "trace contains no topology frame";
-        abort_pipeline();
         return result;
     }
 
-    // ---- Phase 2: drain the pipeline / decode serially -----------------
+    // ---- Phase 2: lane decode ------------------------------------------
     close_stretch(); // No-op unless the stream ended mid-stretch.
-    const std::size_t num_cpus = trace.numCpus();
-    const std::size_t num_lanes = runs.size();
-    bool decode_cancelled = false;
-    const CpuDecodeStatus *first_error = nullptr;
-    auto consider = [&](const CpuDecodeStatus &status) {
-        // The minimum-offset rule keeps the reported diagnostic
-        // independent of scheduling and worker count.
-        if (status.failed() &&
-            (!first_error || status.errorOffset < first_error->errorOffset))
-            first_error = &status;
-    };
-    std::vector<CpuDecodeStatus> statuses;
-    if (pipeline) {
-        // Most batches already decoded while the scan was running; hand
-        // over the partial tails and wait for the pumps to drain.
-        for (std::size_t lane = 0; lane < num_lanes; lane++) {
-            if (!runs[lane].empty())
-                flush_batch(lane);
-        }
-        pool->wait();
-        decode_cancelled =
-            pipeline->cancelled.load(std::memory_order_relaxed) ||
-            options.cancel.cancelled();
-        if (!decode_cancelled) {
-            // pool->wait() returned: every pump is done, the decode
-            // halves are quiescent and safe to read without the lock.
-            for (const DecodePipeline::LaneDecode &state : pipeline->decode)
-                consider(state.status);
-        }
-    } else if (options.cancel.cancelled()) {
-        decode_cancelled = true;
-    } else {
-        // Small trace or workers == 1: decode every run on the calling
-        // thread. No early exit on a failed lane, so the minimum-offset
-        // rule sees the same candidates as the pipelined mode.
-        statuses.resize(num_lanes);
-        std::atomic<bool> cancelled{false};
-        for (std::size_t lane = 0; lane < num_lanes; lane++) {
-            if (lane < num_cpus) {
-                DeltaRegisters registers;
-                decodeBatch(bytes, encoding, runs[lane],
-                            trace.cpu(static_cast<CpuId>(lane)),
-                            registers, options.cancel, cancelled,
-                            statuses[lane]);
-            } else {
-                decodeGlobalBatch(bytes, encoding, runs[lane], trace,
-                                  options.cancel, cancelled,
-                                  statuses[lane]);
-            }
-        }
-        decode_cancelled = cancelled.load(std::memory_order_relaxed) ||
-                           options.cancel.cancelled();
-        if (!decode_cancelled) {
-            for (const CpuDecodeStatus &status : statuses)
-                consider(status);
-        }
-    }
+    const auto decode_start = std::chrono::steady_clock::now();
+    result.scanSeconds =
+        std::chrono::duration<double>(decode_start - scan_start).count();
 
-    if (decode_cancelled) {
-        result.cancelled = true;
-        result.error = "trace load cancelled";
-        return result;
+    // Largest lanes first, so the longest decode starts first and the
+    // pool's tail stays short (on seidel the memory-access lane alone
+    // holds about a quarter of all lane frames).
+    std::vector<std::size_t> lane_frames(runs.size(), 0);
+    std::vector<std::size_t> order;
+    std::size_t total_frames = 0;
+    for (std::size_t lane = 0; lane < runs.size(); lane++) {
+        for (std::uint64_t stretch : runs[lane])
+            lane_frames[lane] += stretch >> kStretchCountShift;
+        total_frames += lane_frames[lane];
+        if (lane_frames[lane] > 0)
+            order.push_back(lane);
     }
-    if (first_error) {
-        result.error = first_error->error;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return lane_frames[a] > lane_frames[b];
+                     });
+
+    // The pool's workers plus the calling thread (which parallelFor
+    // puts to work too) decode; the pool also serves finalize().
+    const unsigned max_workers = options.workers == 0
+                                     ? base::ThreadPool::defaultWorkers()
+                                     : options.workers;
+    std::unique_ptr<base::ThreadPool> pool;
+    if (max_workers > 1 && total_frames >= kParallelDecodeFrames)
+        pool = std::make_unique<base::ThreadPool>(std::min<unsigned>(
+            max_workers, static_cast<unsigned>(order.size())));
+
+    // The global lanes' frame counts are their tables' final sizes;
+    // reserving them spares the largest lane (memory accesses) every
+    // reallocation, and that lane bounds the parallel decode's length.
+    trace.reserveGlobalTables(lane_frames[0], lane_frames[1],
+                              lane_frames[2]);
+
+    // Only the calling thread yields; it keeps counting frames from
+    // where the scan stopped, so the poll cadence spans the whole load.
+    // Each lane keeps its first corrupt frame; the lowest offset wins
+    // below, which makes the diagnostic independent of scheduling.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> lane_error(runs.size(), kNoError);
+    auto decode = [&](std::size_t i) {
+        if (options.cancel.cancelled())
+            return; // Leave unstarted lanes of a cancelled load alone.
+        const std::size_t lane = order[i];
+        std::size_t helper_polled = 0;
+        const bool on_caller = std::this_thread::get_id() == caller;
+        lane_error[lane] = decodeLane(
+            bytes, encoding, runs[lane], trace, options.cancel,
+            on_caller ? &options.yield : nullptr,
+            on_caller ? scanned : helper_polled);
+    };
+    if (pool) {
+        pool->parallelFor(order.size(), decode);
+    } else {
+        for (std::size_t i = 0; i < order.size(); i++)
+            decode(i);
+    }
+    const auto finalize_start = std::chrono::steady_clock::now();
+    result.decodeSeconds =
+        std::chrono::duration<double>(finalize_start - decode_start)
+            .count();
+
+    if (options.cancel.cancelled())
+        return cancelledLoad(std::move(result));
+    const std::size_t first_error =
+        *std::min_element(lane_error.begin(), lane_error.end());
+    if (first_error != kNoError) {
+        result.error = strFormat(
+            "corrupt %s frame at offset %zu",
+            frameTypeName(static_cast<FrameType>(bytes[first_error])),
+            first_error);
         return result;
     }
 
     std::string finalize_error;
-    if (!trace.finalize(finalize_error, pool.get())) {
+    const bool finalized = trace.finalize(finalize_error, pool.get());
+    result.finalizeSeconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() -
+                                 finalize_start)
+                                 .count();
+    if (!finalized) {
         result.error = "trace validation failed: " + finalize_error;
         return result;
     }

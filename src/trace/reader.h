@@ -7,7 +7,8 @@
  * malformed or truncated input with a diagnostic instead of crashing, and
  * finalizes the resulting Trace so it is immediately analyzable.
  *
- * Two-phase decode contract: loading always runs in two passes.
+ * Two-phase decode contract: loading always runs in two passes, one
+ * after the other.
  *
  *  1. Frame scan (serial). One walk over the byte stream validates the
  *     header, decodes the small global frames (topology, state/counter
@@ -19,19 +20,20 @@
  *     tables (task instances, memory regions, memory accesses). The
  *     scan checks frame structure and stops at the first malformed
  *     frame.
- *  2. Lane decode (parallel). Each lane's stretches decode strictly in
- *     stream order with private delta-timestamp registers, so every
- *     container fills exactly as a serial pass would fill it. With
- *     ReadOptions::workers > 1 the decode is pipelined: batches of
- *     scanned frames stream to a base::ThreadPool while the scan is
- *     still running. Decode diagnostics are merged by lowest byte
+ *  2. Lane decode (parallel). After the scan, each lane's stretches
+ *     decode strictly in stream order with private delta-timestamp
+ *     registers, so every container fills exactly as a serial pass
+ *     would fill it. With ReadOptions::workers > 1 and at least 4096
+ *     lane frames, the lanes decode concurrently on a private
+ *     base::ThreadPool, largest lane first, with the calling thread
+ *     taking lanes too. Decode diagnostics are merged by lowest byte
  *     offset so the reported error does not depend on scheduling.
  *
  * Bit-identity guarantee: the materialized Trace, the diagnostics (which
  * carry the failing frame's byte offset and kind), and bytesRead are
  * identical at every worker count — workers only changes wall-clock
  * time. Cancellation (ReadOptions::cancel) is cooperative and observed
- * at batch boundaries in both phases; a cancelled load returns
+ * every 4096 frames in both phases; a cancelled load returns
  * ok == false with cancelled == true and no usable trace.
  */
 
@@ -54,9 +56,13 @@ namespace trace {
 struct ReadOptions
 {
     /**
-     * Worker threads of the per-CPU decode phase; 1 decodes on the
-     * calling thread, 0 uses one worker per hardware thread. The
-     * result is bit-identical at every setting.
+     * Worker threads of the lane decode phase, which runs after the
+     * serial scan; 1 decodes on the calling thread, 0 uses one worker
+     * per hardware thread. With N > 1 a private pool of up to N
+     * threads decodes beside the calling thread, and also runs
+     * finalize(); traces of fewer than 4096 lane frames decode on the
+     * calling thread anyway. The result is bit-identical at every
+     * setting.
      */
     unsigned workers = 1;
 
@@ -68,12 +74,15 @@ struct ReadOptions
     base::CancellationToken cancel;
 
     /**
-     * Invoked at the same frame-run boundaries the cancel token is
-     * polled at (every 4096 scanned frames). A background trace load
+     * Invoked on the calling thread at the same boundaries the cancel
+     * token is polled at: every 4096 frames the calling thread scans
+     * or decodes, counted across both phases. A background trace load
      * sets this to donate its thread to queued interactive work
-     * (base::ThreadPool::runOneHighPriorityTask()) so a load never
-     * delays a just-submitted query by more than one scan batch. Must
-     * not re-enter the reader; null means never yield.
+     * (base::ThreadPool::runOneHighPriorityTask()) so a load delays a
+     * just-submitted query by at most one such batch while its thread
+     * works. With workers > 1 the calling thread waits without yielding
+     * once every lane is claimed, until the pool finishes the lanes it
+     * took. Must not re-enter the reader; null means never yield.
      */
     std::function<void()> yield;
 };
@@ -87,6 +96,12 @@ struct ReadResult
     Trace trace;         ///< The materialized trace when ok.
     Encoding encoding = Encoding::Raw; ///< Encoding found in the header.
     std::size_t bytesRead = 0;         ///< Total bytes consumed.
+
+    /** Wall time of each load stage, in seconds (0 for a stage the
+     *  load did not reach). */
+    double scanSeconds = 0.0;
+    double decodeSeconds = 0.0;
+    double finalizeSeconds = 0.0;
 };
 
 /** Parse a trace from an in-memory byte buffer. */

@@ -55,6 +55,15 @@ Trace::addMemAccess(const MemAccess &access)
     memAccesses_.push_back(access);
 }
 
+void
+Trace::reserveGlobalTables(std::size_t tasks, std::size_t regions,
+                           std::size_t accesses)
+{
+    taskInstances_.reserve(tasks);
+    memRegions_.reserve(regions);
+    memAccesses_.reserve(accesses);
+}
+
 CpuTimeline &
 Trace::cpu(CpuId cpu)
 {

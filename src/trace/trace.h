@@ -73,6 +73,13 @@ class Trace
     /** Record a task-level memory access. */
     void addMemAccess(const MemAccess &access);
 
+    /**
+     * Capacity hint for a loader that knows the table sizes up front:
+     * later add*() calls of up to these counts do not reallocate.
+     */
+    void reserveGlobalTables(std::size_t tasks, std::size_t regions,
+                             std::size_t accesses);
+
     /** Mutable timeline of CPU @p cpu (topology must be set first). */
     CpuTimeline &cpu(CpuId cpu);
 

@@ -94,6 +94,7 @@ struct Gate
 {
     std::mutex mutex;
     std::condition_variable cv;
+    bool entered = false;
     bool open = false;
 
     void
@@ -110,17 +111,32 @@ struct Gate
     block()
     {
         std::unique_lock<std::mutex> lock(mutex);
+        entered = true;
+        cv.notify_all();
         cv.wait(lock, [this] { return open; });
+    }
+
+    /** Wait until a worker is parked inside block(). */
+    void
+    awaitEntered()
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [this] { return entered; });
     }
 };
 
-/** Park the engine's (sole) worker behind @p gate. */
+/**
+ * Park the engine's (sole) worker behind @p gate. Returns once the
+ * worker is inside the gate, so work submitted afterwards queues behind
+ * it whatever its priority.
+ */
 void
 occupyWorker(Session &session, const std::shared_ptr<Gate> &gate)
 {
     session.queryEngine()->withPool([&](base::ThreadPool &pool) {
         pool.submit([gate] { gate->block(); });
     });
+    gate->awaitEntered();
 }
 
 TEST(TaskHandle, TrackedTaskRunsAndReportsDone)

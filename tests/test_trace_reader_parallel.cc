@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <initializer_list>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -155,6 +157,53 @@ TEST(ReaderRoundTrip, GlobalFramesOnlyTrace)
     }
 }
 
+TEST(ReaderRoundTrip, MemoryFramesMayPrecedeTheTopology)
+{
+    // Memory frames are legal before the topology frame and land in
+    // stream order; a task instance there is rejected.
+    auto stream = [](bool task_first) {
+        ByteWriter writer;
+        auto frame = [&](FrameType type,
+                         std::initializer_list<std::uint64_t> varints) {
+            writer.writeU8(static_cast<std::uint8_t>(type));
+            for (std::uint64_t v : varints)
+                writer.writeVarint(v);
+        };
+        writer.writeU32(kTraceMagic);
+        writer.writeU16(kTraceVersion);
+        writer.writeU16(static_cast<std::uint16_t>(Encoding::Compact));
+        writer.writeU64(2'000'000'000);
+        if (task_first)
+            frame(FrameType::TaskInstance, {1, 0, 0, 10, 5});
+        frame(FrameType::MemRegion, {2, 0x2000, 64, 0});
+        frame(FrameType::MemAccess, {7, 0x2000, 8});
+        writer.writeU8(1); // is-write
+        frame(FrameType::Topology, {1, 1, 0, 10});
+        frame(FrameType::MemRegion, {1, 0x1000, 64, 0});
+        frame(FrameType::EndOfTrace, {});
+        return writer.take();
+    };
+
+    std::vector<std::uint8_t> bytes = stream(false);
+    for (unsigned workers : kWorkerCounts) {
+        ReadOptions options;
+        options.workers = workers;
+        ReadResult result = readTrace(bytes, options);
+        ASSERT_TRUE(result.ok) << result.error;
+        ASSERT_EQ(result.trace.memRegions().size(), 2u);
+        ASSERT_EQ(result.trace.memAccesses().size(), 1u);
+        EXPECT_EQ(result.trace.memAccesses()[0].task, 7u);
+        EXPECT_TRUE(result.trace.memAccesses()[0].isWrite);
+    }
+
+    ReadResult premature = readTrace(stream(true));
+    ASSERT_FALSE(premature.ok);
+    EXPECT_NE(premature.error.find("TaskInstance frame at offset 16 "
+                                   "precedes the topology frame"),
+              std::string::npos)
+        << premature.error;
+}
+
 TEST(ReaderRoundTrip, TrailingBytesAfterEndOfTraceIgnored)
 {
     Trace tr = buildRandomTrace(11, {.cpus = 2, .statesPerCpu = 10});
@@ -274,21 +323,49 @@ TEST(ReaderCorruption, DiagnosticsCarryOffsetAndFrameKind)
     }
 }
 
-TEST(ReaderCorruption, ParallelDecodeReportsLowestOffsetError)
+/** A compact stream's header and a topology of @p cpus CPUs on one node. */
+ByteWriter
+compactHeader(std::uint32_t cpus)
 {
-    // Two corrupt frames on different CPUs: the reported diagnostic is
-    // the lower-offset one no matter how the runs are scheduled.
     ByteWriter writer;
     writer.writeU32(kTraceMagic);
     writer.writeU16(kTraceVersion);
     writer.writeU16(static_cast<std::uint16_t>(Encoding::Compact));
     writer.writeU64(2'000'000'000);
     writer.writeU8(static_cast<std::uint8_t>(FrameType::Topology));
-    writer.writeVarint(2);
+    writer.writeVarint(cpus);
     writer.writeVarint(1);
-    writer.writeVarint(0);
-    writer.writeVarint(0);
+    for (std::uint32_t c = 0; c < cpus; c++)
+        writer.writeVarint(0);
     writer.writeVarint(10);
+    return writer;
+}
+
+/**
+ * Append @p frames valid compact StateEvents spread over @p cpus CPUs
+ * in runs of 64, so every CPU lane gets several stretches.
+ */
+void
+writeValidStates(ByteWriter &writer, std::uint32_t cpus,
+                 std::size_t frames)
+{
+    for (std::size_t i = 0; i < frames; i++) {
+        writer.writeU8(static_cast<std::uint8_t>(FrameType::StateEvent));
+        writer.writeVarint((i / 64) % cpus); // cpu
+        writer.writeVarint(0);               // state
+        writer.writeSignedVarint(1);         // time delta
+        writer.writeVarint(1);               // duration
+        writer.writeVarint(0);               // task
+    }
+}
+
+TEST(ReaderCorruption, ParallelDecodeReportsLowestOffsetError)
+{
+    // Two corrupt frames on different CPUs behind enough valid frames
+    // that workers > 1 decodes on the pool: the reported diagnostic is
+    // the lower-offset one no matter how the lanes are scheduled.
+    ByteWriter writer = compactHeader(2);
+    writeValidStates(writer, 2, 6000);
     auto bad_state_event = [&](std::uint32_t cpu) {
         writer.writeU8(static_cast<std::uint8_t>(FrameType::StateEvent));
         writer.writeVarint(cpu);
@@ -299,7 +376,7 @@ TEST(ReaderCorruption, ParallelDecodeReportsLowestOffsetError)
     };
     std::size_t first_bad = writer.size();
     bad_state_event(1); // Earlier in the stream, on cpu 1.
-    bad_state_event(0); // Later, on cpu 0 (decoded first by cpu order).
+    bad_state_event(0); // Later, on cpu 0.
     writer.writeU8(static_cast<std::uint8_t>(FrameType::EndOfTrace));
     std::vector<std::uint8_t> bytes = writer.take();
 
@@ -312,6 +389,40 @@ TEST(ReaderCorruption, ParallelDecodeReportsLowestOffsetError)
                       "offset " + std::to_string(first_bad)),
                   std::string::npos)
             << "workers " << workers << ": " << result.error;
+    }
+}
+
+TEST(ReaderCorruption, SampledByteFlipsDiagnoseAlikeAtOneAndFourWorkers)
+{
+    // Above the 4096-frame threshold, so 4 workers really decode on the
+    // pool: every flip must give the serial outcome, string for string.
+    RandomTraceOptions trace_options;
+    trace_options.cpus = 4;
+    trace_options.statesPerCpu = 600;
+    std::vector<std::uint8_t> bytes =
+        writeTrace(buildRandomTrace(23, trace_options), Encoding::Compact);
+    std::mt19937 rng(4242);
+    std::uniform_int_distribution<std::size_t> position(0,
+                                                        bytes.size() - 1);
+    for (int sample = 0; sample < 120; sample++) {
+        const std::size_t pos = position(rng);
+        for (std::uint8_t flip : {std::uint8_t{0x01}, std::uint8_t{0x80}}) {
+            std::vector<std::uint8_t> corrupt = bytes;
+            corrupt[pos] ^= flip;
+            ReadOptions serial_options;
+            ReadResult serial = readTrace(corrupt, serial_options);
+            ReadOptions parallel_options;
+            parallel_options.workers = 4;
+            ReadResult parallel = readTrace(corrupt, parallel_options);
+            ASSERT_EQ(parallel.ok, serial.ok) << "flip at " << pos;
+            EXPECT_EQ(parallel.error, serial.error) << "flip at " << pos;
+            if (serial.ok) {
+                EXPECT_EQ(parallel.bytesRead, serial.bytesRead);
+                EXPECT_EQ(writeTrace(parallel.trace, Encoding::Raw),
+                          writeTrace(serial.trace, Encoding::Raw))
+                    << "flip at " << pos;
+            }
+        }
     }
 }
 
@@ -366,6 +477,37 @@ TEST(ReaderCancellation, PreCancelledTokenStopsTheLoad)
     options.workers = 2;
     options.cancel.requestCancel();
     ReadResult result = readTrace(bytes, options);
+    EXPECT_FALSE(result.ok);
+    EXPECT_TRUE(result.cancelled);
+    EXPECT_NE(result.error.find("cancelled"), std::string::npos);
+}
+
+TEST(ReaderCancellation, CancelFromYieldDuringParallelDecode)
+{
+    // 1 topology + 8189 state events + 1 end = 8191 frames: the scan
+    // polls once (at frame 4096) and the calling thread's next poll
+    // comes with the first frame it decodes. Cancelling from that
+    // decode-time yield must stop the 4-worker load.
+    const std::uint32_t cpus = 8;
+    ByteWriter writer = compactHeader(cpus);
+    writeValidStates(writer, cpus, 8189);
+    writer.writeU8(static_cast<std::uint8_t>(FrameType::EndOfTrace));
+    std::vector<std::uint8_t> bytes = writer.take();
+
+    ReadOptions plain;
+    plain.workers = 4;
+    ASSERT_TRUE(readTrace(bytes, plain).ok);
+
+    const std::size_t scan_polls = 8191 / 4096;
+    std::size_t polls = 0;
+    ReadOptions options;
+    options.workers = 4;
+    options.yield = [&] {
+        if (++polls > scan_polls)
+            options.cancel.requestCancel();
+    };
+    ReadResult result = readTrace(bytes, options);
+    EXPECT_GT(polls, scan_polls) << "no yield during lane decode";
     EXPECT_FALSE(result.ok);
     EXPECT_TRUE(result.cancelled);
     EXPECT_NE(result.error.find("cancelled"), std::string::npos);
