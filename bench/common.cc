@@ -69,6 +69,17 @@ JsonLines::add(const std::string &metric, double value,
     os_.flush();
 }
 
+trace::ReadResult
+readWithWorkers(const std::vector<std::uint8_t> &bytes, unsigned workers)
+{
+    trace::ReadOptions options;
+    if (workers <= 1)
+        return trace::readTrace(bytes, options);
+    base::ThreadPool pool(workers);
+    options.pool = &pool;
+    return trace::readTrace(bytes, options);
+}
+
 runtime::RuntimeConfig
 seidelConfig(bool numa_optimized)
 {

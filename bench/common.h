@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "aftermath.h"
 
@@ -71,6 +72,14 @@ class JsonLines
     std::string path_;
     std::ofstream os_;
 };
+
+/**
+ * Load @p bytes with @p workers decode threads beside the calling
+ * thread (none at workers <= 1). The pool is built and joined inside
+ * the call, so timing the call covers thread start and join too.
+ */
+trace::ReadResult readWithWorkers(const std::vector<std::uint8_t> &bytes,
+                                  unsigned workers);
 
 // --- seidel on the UV2000-like machine (paper sections III-A/B, IV). ----
 

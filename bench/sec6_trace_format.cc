@@ -90,10 +90,9 @@ void
 BM_ReadCompactParallel(benchmark::State &state)
 {
     auto bytes = trace::writeTrace(g_trace, trace::Encoding::Compact);
-    trace::ReadOptions options;
-    options.workers = static_cast<unsigned>(state.range(0));
+    const auto workers = static_cast<unsigned>(state.range(0));
     for (auto _ : state) {
-        trace::ReadResult result = trace::readTrace(bytes, options);
+        trace::ReadResult result = bench::readWithWorkers(bytes, workers);
         benchmark::DoNotOptimize(result.ok);
     }
     state.SetBytesProcessed(
@@ -140,11 +139,8 @@ main(int argc, char **argv)
 
     // The same load through the two-phase decode at 4 workers (see
     // sec7_parallel_load for the full scaling study).
-    trace::ReadOptions parallel_options;
-    parallel_options.workers = 4;
     auto t2 = std::chrono::steady_clock::now();
-    trace::ReadResult parallel_result =
-        trace::readTrace(compact, parallel_options);
+    trace::ReadResult parallel_result = bench::readWithWorkers(compact, 4);
     auto t3 = std::chrono::steady_clock::now();
     double parallel_load_ms =
         std::chrono::duration<double, std::milli>(t3 - t2).count();

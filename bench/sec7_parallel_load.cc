@@ -41,12 +41,10 @@ LoadTimes
 averageLoad(const std::vector<std::uint8_t> &bytes, unsigned workers,
             int reps)
 {
-    trace::ReadOptions options;
-    options.workers = workers;
     LoadTimes sum;
     for (int r = 0; r < reps; r++) {
         auto start = std::chrono::steady_clock::now();
-        trace::ReadResult result = trace::readTrace(bytes, options);
+        trace::ReadResult result = bench::readWithWorkers(bytes, workers);
         std::chrono::duration<double> d =
             std::chrono::steady_clock::now() - start;
         if (!result.ok) {
@@ -176,9 +174,7 @@ main()
     bool identical = true;
     std::vector<std::uint8_t> serial_reencoded;
     for (unsigned workers : {1u, 2u, 4u, 8u}) {
-        trace::ReadOptions options;
-        options.workers = workers;
-        trace::ReadResult decoded = trace::readTrace(compact, options);
+        trace::ReadResult decoded = bench::readWithWorkers(compact, workers);
         if (!decoded.ok) {
             identical = false;
             break;

@@ -44,16 +44,18 @@ main()
                 static_cast<unsigned long long>(result.steals));
 
     // 4. Round-trip through the on-disk format (compact encoding). The
-    //    reader decodes per-CPU frame runs in parallel — here with two
-    //    workers; the trace is bit-identical at any worker count.
+    //    reader decodes per-CPU frame runs in parallel on a pool it
+    //    borrows — here two threads beside this one; the trace is
+    //    bit-identical with or without a pool.
     std::string error;
     if (!trace::writeTraceFile(result.trace, "quickstart.ostv",
                                trace::Encoding::Compact, error)) {
         std::fprintf(stderr, "write failed: %s\n", error.c_str());
         return 1;
     }
+    base::ThreadPool decode_pool(2);
     trace::ReadOptions read_options;
-    read_options.workers = 2;
+    read_options.pool = &decode_pool;
     trace::ReadResult loaded =
         trace::readTraceFile("quickstart.ostv", read_options);
     if (!loaded.ok) {

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "aftermath.h"
@@ -136,14 +137,21 @@ main(int argc, char **argv)
         return 2;
     }
 
-    trace::ReadOptions options;
-    options.workers = 0; // One decode worker per hardware thread.
+    unsigned workers = 0; // 0 = one decode worker per hardware thread.
     for (int i = 2; i < argc - 1; i++) {
         if (!std::strcmp(argv[i], "--workers"))
-            options.workers =
-                static_cast<unsigned>(std::atoi(argv[i + 1]));
+            workers = static_cast<unsigned>(std::atoi(argv[i + 1]));
     }
+    if (workers == 0)
+        workers = base::ThreadPool::defaultWorkers();
 
+    // The reader borrows a pool; with one worker it decodes on this
+    // thread alone.
+    std::unique_ptr<base::ThreadPool> pool;
+    if (workers > 1)
+        pool = std::make_unique<base::ThreadPool>(workers);
+    trace::ReadOptions options;
+    options.pool = pool.get();
     trace::ReadResult result = trace::readTraceFile(argv[1], options);
     if (!result.ok) {
         std::fprintf(stderr, "error: %s\n", result.error.c_str());

@@ -190,13 +190,15 @@ ThreadPool::workerLoop()
 
 namespace {
 
-/** Completion gate for one parallelFor call: helpers still inside. */
+/** Shared state of one parallelFor call (late helpers outlive it). */
 struct ForState
 {
     std::atomic<std::size_t> next{0}; ///< Next unclaimed index.
     Mutex mutex{lockrank::kTaskState, "parallel-for"};
     CondVar done;
-    std::size_t active AM_GUARDED_BY(mutex) = 0; ///< Still draining.
+    /** Helpers inside their claim loop: each counts itself before its
+     *  first claim and leaves after its last body returned. */
+    std::size_t claimers AM_GUARDED_BY(mutex) = 0;
 };
 
 } // namespace
@@ -207,45 +209,56 @@ ThreadPool::parallelFor(std::size_t n,
 {
     if (n == 0)
         return;
-    if (n == 1 || workers_.size() < 2) {
-        for (std::size_t i = 0; i < n; i++)
-            body(i);
+    if (n == 1) {
+        body(0);
         return;
     }
 
     // One shared cursor; every participant pulls the next index until
-    // the range is exhausted. The caller runs the same loop, so the
-    // range completes even on a pool whose workers are all busy, and
-    // waits until the last helper left the body — the state (and the
-    // caller's body reference) outlives every access.
+    // the range is exhausted. The caller claims index 0 before any
+    // helper is queued, so it always works on the range (woken helpers
+    // can otherwise drain a short range before the caller runs), and
+    // it never waits for a helper that is still queued, so the range
+    // completes even when every worker is busy — including when the
+    // caller is itself a task of this pool. Helpers step aside for
+    // queued High work before each claim; the caller finishes whatever
+    // they leave.
     auto state = std::make_shared<ForState>();
-    auto drain = [state, n, &body] {
-        for (;;) {
-            std::size_t i =
-                state->next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                break;
-            body(i);
-        }
-    };
-
+    state->next.store(1, std::memory_order_relaxed);
+    const auto *fn = &body;
     std::size_t helpers = std::min<std::size_t>(workers_.size(), n - 1);
-    {
-        MutexLock lock(state->mutex);
-        state->active = helpers;
-    }
     for (std::size_t h = 0; h < helpers; h++) {
-        submit([state, drain] {
-            drain();
+        submit([this, state, fn, n] {
+            {
+                MutexLock lock(state->mutex);
+                state->claimers++;
+            }
+            while (!hasHighPriorityWork()) {
+                std::size_t i =
+                    state->next.fetch_add(1, std::memory_order_relaxed);
+                if (i >= n)
+                    break;
+                (*fn)(i);
+            }
             MutexLock lock(state->mutex);
-            if (--state->active == 0)
+            if (--state->claimers == 0)
                 state->done.notifyAll();
         });
     }
-    drain();
+    body(0);
+    for (;;) {
+        std::size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n)
+            break;
+        body(i);
+    }
 
+    // The cursor is exhausted. A helper that counts itself after this
+    // lock claims past the end (the lock orders its claim after ours),
+    // so once the count reads zero no body is running or about to run
+    // and the caller's body reference may die.
     MutexLock lock(state->mutex);
-    while (state->active != 0)
+    while (state->claimers != 0)
         state->done.wait(lock);
 }
 

@@ -134,10 +134,9 @@ class TaskHandle
  *
  * Tasks must not throw: an exception escaping a task terminates the
  * process (the pool runs analysis kernels that report failure through
- * their results, not through exceptions). submit()/parallelFor() may be
- * called from any thread, including from inside a pool task — but
- * parallelFor() must not, as a task waiting for sibling tasks on the
- * same pool can deadlock. Destruction drains both queues, then joins.
+ * their results, not through exceptions). submit() and parallelFor()
+ * may be called from any thread, including from inside a task of the
+ * same pool. Destruction drains both queues, then joins.
  *
  * Cooperative yielding: hasHighPriorityWork() is a lock-free probe a
  * running Normal task can poll at chunk boundaries; when it reports
@@ -209,10 +208,16 @@ class ThreadPool
     /**
      * Run body(i) for every i in [0, n), distributing indexes across
      * the workers, and block until all calls returned. The calling
-     * thread participates, so a pool is never idle-waited on from a
-     * thread that could work. Chunking is by single index: bodies are
-     * expected to be coarse (an index build, a per-CPU scan), where
-     * scheduling overhead is noise. Helpers run at Normal priority.
+     * thread runs index 0 itself, claims further indexes like the
+     * helpers, and waits only for bodies another thread already
+     * claimed, never for a helper still queued: a call
+     * from inside a task of this pool cannot deadlock, and on a busy
+     * pool the caller runs the whole range itself. Chunking is by
+     * single index: bodies are expected to be coarse (a lane decode, a
+     * per-CPU scan), where scheduling overhead is noise. Helpers run
+     * at Normal priority and leave before their next claim while High
+     * work is queued, so interactive work waits for at most one body
+     * per helper; the caller finishes what they leave.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);

@@ -5,7 +5,6 @@
 
 #include "base/logging.h"
 #include "stats/export.h"
-#include "trace/reader.h"
 
 namespace aftermath {
 namespace daemon {
@@ -828,57 +827,51 @@ Server::stats() const
 std::shared_ptr<Server::SharedTrace>
 Server::acquireTrace(const OpenTraceRequest &request, std::string &error)
 {
-    // Path-sourced opens share through the registry.
-    if (!request.bytes) {
-        {
-            base::MutexLock lock(mutex_);
-            auto it = registry_.find(request.path);
-            if (it != registry_.end()) {
-                it->second->refs++;
-                return it->second;
-            }
-        }
-        // Load outside the lock: only this client waits on the disk.
-        trace::ReadOptions options;
-        options.workers = options_.workers;
-        trace::ReadResult result =
-            trace::readTraceFile(request.path, options);
-        if (!result.ok) {
-            error = "cannot load " + request.path + ": " + result.error;
-            return nullptr;
-        }
-        auto shared = std::make_shared<SharedTrace>();
-        shared->key = request.path;
-        shared->trace = std::make_shared<const trace::Trace>(
-            std::move(result.trace));
-        session::Session seed(shared->trace);
-        shared->caches = seed.sharedCaches();
-        shared->refs = 1;
-
+    // Path-sourced opens share through the registry; inline bytes
+    // always make a private trace, never in the registry.
+    const bool shareable = !request.bytes;
+    if (shareable) {
         base::MutexLock lock(mutex_);
-        auto [it, inserted] = registry_.emplace(request.path, shared);
-        if (!inserted) {
-            // Another client's load won the race; share theirs.
+        auto it = registry_.find(request.path);
+        if (it != registry_.end()) {
             it->second->refs++;
             return it->second;
         }
-        return shared;
     }
 
-    // Inline bytes: always a private trace, never in the registry.
-    trace::ReadOptions options;
-    options.workers = options_.workers;
-    trace::ReadResult result = trace::readTrace(*request.bytes, options);
+    // Load outside the lock, as a query on the engine's pool: decode
+    // and finalize run there, at Interactive priority because the
+    // client is blocked on the reply. The loader session over an empty
+    // trace is only the submit path.
+    session::Session loader{trace::Trace{}};
+    loader.setQueryEngine(engine_);
+    session::TraceLoadQuery load;
+    load.context.priority = QueryPriority::Interactive;
+    load.path = request.path;
+    load.bytes = request.bytes;
+    session::TraceLoadResult result = loader.submit(load).take();
     if (!result.ok) {
-        error = "cannot parse inline trace: " + result.error;
+        error = shareable
+                    ? "cannot load " + request.path + ": " + result.error
+                    : "cannot parse inline trace: " + result.error;
         return nullptr;
     }
     auto shared = std::make_shared<SharedTrace>();
-    shared->trace =
-        std::make_shared<const trace::Trace>(std::move(result.trace));
+    shared->trace = std::move(result.trace);
     session::Session seed(shared->trace);
     shared->caches = seed.sharedCaches();
     shared->refs = 1;
+    if (!shareable)
+        return shared;
+
+    shared->key = request.path;
+    base::MutexLock lock(mutex_);
+    auto [it, inserted] = registry_.emplace(request.path, shared);
+    if (!inserted) {
+        // Another client's load won the race; share theirs.
+        it->second->refs++;
+        return it->second;
+    }
     return shared;
 }
 

@@ -317,11 +317,12 @@ struct AnomalyScanQuery
 
 /**
  * Load a trace off the interaction path: the two-phase parallel reader
- * (trace/reader.h) runs on the engine's pool and the finished trace
- * comes back through the ticket, ready to swap in with
- * Session::setTrace(result.trace) from the driving thread — executors
- * never mutate the session, so queries over the old trace stay valid
- * until the swap.
+ * (trace/reader.h) runs as a task on the engine's pool, its lane decode
+ * and finalize run as units on that same pool (no other thread is
+ * started), and the finished trace comes back through the ticket,
+ * ready to swap in with Session::setTrace(result.trace) from the
+ * driving thread — executors never mutate the session, so queries over
+ * the old trace stay valid until the swap.
  *
  * Exactly one source must be set: a file path, or a shared in-memory
  * byte buffer (kept alive by the executor until completion). Like
@@ -330,9 +331,10 @@ struct AnomalyScanQuery
  * frame-run boundary (the ticket completes Cancelled, no result).
  *
  * Background by default: a load queues behind interactive work, and
- * while running its frame-scan loop drains queued Interactive tasks at
- * batch boundaries (the scan polls between frame runs), so even a
- * single-worker engine stays responsive during a long load.
+ * while running, its own thread drains queued Interactive tasks at
+ * batch boundaries (every 4096 frames scanned or decoded) while its
+ * decode helpers step aside between lanes, so even a single-worker
+ * engine stays responsive during a long load.
  */
 struct TraceLoadQuery
 {
@@ -344,9 +346,6 @@ struct TraceLoadQuery
 
     /** In-memory stream to load; takes precedence over @p path. */
     std::shared_ptr<const std::vector<std::uint8_t>> bytes;
-
-    /** Decode workers of the parallel phase; 0 = the engine's count. */
-    unsigned workers = 0;
 };
 
 /** Outcome of a TraceLoadQuery (mirrors trace::ReadResult). */

@@ -855,8 +855,6 @@ Session::submit(const TraceLoadQuery &query)
     auto state = newTicketState<TraceLoadResult>(*domain_,
                                                  Staleness::Immune);
     trace::ReadOptions options;
-    options.workers =
-        query.workers == 0 ? engine_->workers() : query.workers;
     // Bridge ticket.cancel() into the reader's cooperative poll (the
     // token copies share one flag).
     options.cancel = state->cancel;
@@ -865,19 +863,18 @@ Session::submit(const TraceLoadQuery &query)
         [bytes = query.bytes, path = query.path, options](
             const auto &,
             base::ThreadPool &pool) -> std::optional<TraceLoadResult> {
-            // The load's serial frame scan can occupy a worker for the
-            // whole file; drain queued interactive tasks at the reader's
-            // poll boundaries so even a 1-worker engine stays
+            // Lane decode and finalize run as units on the engine's
+            // pool. The load's serial frame scan can occupy a worker
+            // for the whole file; drain queued interactive tasks at the
+            // reader's poll boundaries so even a 1-worker engine stays
             // responsive.
             trace::ReadOptions read_options = options;
+            read_options.pool = &pool;
             read_options.yield = [&pool] {
                 while (pool.hasHighPriorityWork() &&
                        pool.runOneHighPriorityTask()) {
                 }
             };
-            // The reader spins up its own decode pool: a pool task must
-            // not parallelFor() on its own pool, and a 1-worker engine
-            // would serialize the decode otherwise.
             trace::ReadResult read =
                 bytes ? trace::readTrace(*bytes, read_options)
                       : trace::readTraceFile(path, read_options);

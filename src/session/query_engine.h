@@ -37,7 +37,8 @@
  *    pyramid-path statistics, trace load) is one tracked task:
  *    cancel() dequeues it while queued, and once running it holds its
  *    worker — except a trace load, which runs queued interactive tasks
- *    itself at the reader's poll boundaries.
+ *    itself at the reader's poll boundaries and decodes on this same
+ *    pool through parallelFor(), whose helpers step aside for them.
  *
  * Idle lifecycle: the pool starts lazily on the first submission, and
  * with setIdleTimeout(t) a reaper thread joins the workers after t of

@@ -45,8 +45,8 @@ summarizeTaskAccesses(const Trace &trace, TaskInstanceId task, bool writes)
     NumaAccessSummary summary;
     summary.bytesPerNode.assign(trace.topology().numNodes(), 0);
 
-    for (auto it = trace.accessesBegin(task); it != trace.accessesEnd(task);
-         ++it) {
+    auto [first, last] = trace.accessRange(task);
+    for (auto it = first; it != last; ++it) {
         if (it->isWrite != writes)
             continue;
         const MemRegion *region = trace.regionContaining(it->address);

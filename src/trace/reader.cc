@@ -12,8 +12,8 @@
  * varint skip per frame.
  *
  * Phase 2 starts when the scan ends and decodes each lane's stretches
- * with one function. With workers > 1 and enough frames, the lanes are
- * one parallelFor on a private base::ThreadPool, largest lane first;
+ * with one function. With a borrowed pool and enough frames, the lanes
+ * are one parallelFor on that pool, largest lane first;
  * each lane fills its own container in stream order with its own delta
  * registers. The decode does not overlap the scan on purpose: the lane
  * decode still left when the scan ends takes as long as a whole decode
@@ -31,7 +31,6 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <thread>
 
 #include "base/buffer.h"
@@ -227,7 +226,7 @@ constexpr std::size_t kPollFrames = 4096;
 
 /**
  * Lane frames below which the decode stays on the calling thread even
- * with workers > 1: starting a pool costs more than decoding them.
+ * with a pool: handing lanes to workers costs more than decoding them.
  */
 constexpr std::size_t kParallelDecodeFrames = 4096;
 
@@ -828,13 +827,8 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
 
     // The pool's workers plus the calling thread (which parallelFor
     // puts to work too) decode; the pool also serves finalize().
-    const unsigned max_workers = options.workers == 0
-                                     ? base::ThreadPool::defaultWorkers()
-                                     : options.workers;
-    std::unique_ptr<base::ThreadPool> pool;
-    if (max_workers > 1 && total_frames >= kParallelDecodeFrames)
-        pool = std::make_unique<base::ThreadPool>(std::min<unsigned>(
-            max_workers, static_cast<unsigned>(order.size())));
+    base::ThreadPool *pool =
+        total_frames >= kParallelDecodeFrames ? options.pool : nullptr;
 
     // The global lanes' frame counts are their tables' final sizes;
     // reserving them spares the largest lane (memory accesses) every
@@ -883,7 +877,7 @@ readTrace(const std::vector<std::uint8_t> &bytes, const ReadOptions &options)
     }
 
     std::string finalize_error;
-    const bool finalized = trace.finalize(finalize_error, pool.get());
+    const bool finalized = trace.finalize(finalize_error, pool);
     result.finalizeSeconds = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() -
                                  finalize_start)

@@ -23,18 +23,21 @@
  *  2. Lane decode (parallel). After the scan, each lane's stretches
  *     decode strictly in stream order with private delta-timestamp
  *     registers, so every container fills exactly as a serial pass
- *     would fill it. With ReadOptions::workers > 1 and at least 4096
- *     lane frames, the lanes decode concurrently on a private
- *     base::ThreadPool, largest lane first, with the calling thread
- *     taking lanes too. Decode diagnostics are merged by lowest byte
- *     offset so the reported error does not depend on scheduling.
+ *     would fill it. With a ReadOptions::pool and at least 4096 lane
+ *     frames, the lanes decode as one parallelFor on that pool,
+ *     largest lane first, with the calling thread taking lanes too;
+ *     Trace::finalize() then runs its units on the same pool. The
+ *     reader starts no thread of its own. Decode diagnostics are
+ *     merged by lowest byte offset so the reported error does not
+ *     depend on scheduling.
  *
  * Bit-identity guarantee: the materialized Trace, the diagnostics (which
  * carry the failing frame's byte offset and kind), and bytesRead are
- * identical at every worker count — workers only changes wall-clock
- * time. Cancellation (ReadOptions::cancel) is cooperative and observed
- * every 4096 frames in both phases; a cancelled load returns
- * ok == false with cancelled == true and no usable trace.
+ * identical with or without a pool and at every pool size — the pool
+ * only changes wall-clock time. Cancellation (ReadOptions::cancel) is
+ * cooperative and observed every 4096 frames in both phases; a
+ * cancelled load returns ok == false with cancelled == true and no
+ * usable trace.
  */
 
 #ifndef AFTERMATH_TRACE_READER_H
@@ -56,15 +59,14 @@ namespace trace {
 struct ReadOptions
 {
     /**
-     * Worker threads of the lane decode phase, which runs after the
-     * serial scan; 1 decodes on the calling thread, 0 uses one worker
-     * per hardware thread. With N > 1 a private pool of up to N
-     * threads decodes beside the calling thread, and also runs
-     * finalize(); traces of fewer than 4096 lane frames decode on the
-     * calling thread anyway. The result is bit-identical at every
-     * setting.
+     * Pool of the lane decode phase and of finalize(), borrowed for the
+     * load. The calling thread decodes beside the pool's workers, and
+     * it may itself be a task of this pool (the session query engine
+     * loads on its own pool). Null decodes on the calling thread;
+     * traces of fewer than 4096 lane frames decode there anyway. The
+     * result is bit-identical either way.
      */
-    unsigned workers = 1;
+    base::ThreadPool *pool = nullptr;
 
     /**
      * Cooperative cancellation: requestCancel() from any thread stops
@@ -80,9 +82,10 @@ struct ReadOptions
      * sets this to donate its thread to queued interactive work
      * (base::ThreadPool::runOneHighPriorityTask()) so a load delays a
      * just-submitted query by at most one such batch while its thread
-     * works. With workers > 1 the calling thread waits without yielding
-     * once every lane is claimed, until the pool finishes the lanes it
-     * took. Must not re-enter the reader; null means never yield.
+     * works; the pool's helper lanes step aside for queued High work
+     * between lanes (base::ThreadPool::parallelFor()). The hook may
+     * run other loads but must not touch this one; null means never
+     * yield.
      */
     std::function<void()> yield;
 };

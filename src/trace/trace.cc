@@ -86,11 +86,16 @@ Trace::cpuOrNull(CpuId cpu) const
     return cpu < cpus_.size() ? &cpus_[cpu] : nullptr;
 }
 
+namespace {
+
+/** Order of memAccesses_ after finalize(): grouped by task. */
 bool
-Trace::finalize(std::string &error)
+byTask(const MemAccess &a, const MemAccess &b)
 {
-    return finalize(error, nullptr);
+    return a.task < b.task;
 }
+
+} // namespace
 
 bool
 Trace::finalize(std::string &error, base::ThreadPool *pool)
@@ -104,114 +109,84 @@ Trace::finalize(std::string &error, base::ThreadPool *pool)
         return false;
     }
 
-    // Region table sorted by address for O(log n) address lookups; the
-    // NUMA placement of a region is stored once and found per access
-    // through this index (paper section VI-A).
+    // Independent units touching disjoint members: one ordering
+    // validation per CPU, then the region index, the access grouping
+    // and the instance index. They run on @p pool or in order on the
+    // calling thread, and the errors rank identically either way below.
+    const std::size_t n = cpus_.size();
+    std::vector<std::string> cpu_errors(n);
+    std::vector<std::uint8_t> cpu_failed(n, 0);
     std::string region_error;
-    auto build_region_index = [&] {
-        auto by_address = [](const MemRegion &a, const MemRegion &b) {
-            return a.address < b.address;
-        };
-        if (!std::is_sorted(memRegions_.begin(), memRegions_.end(),
-                            by_address))
-            std::sort(memRegions_.begin(), memRegions_.end(), by_address);
-        regionIndex_.clear();
-        regionIndex_.reserve(memRegions_.size());
-        for (std::size_t i = 0; i < memRegions_.size(); i++) {
-            if (i > 0 &&
-                memRegions_[i].address < memRegions_[i - 1].address +
-                                             memRegions_[i - 1].size &&
-                memRegions_[i].size > 0 && memRegions_[i - 1].size > 0) {
-                region_error = strFormat(
-                    "memory regions %llu and %llu overlap",
-                    static_cast<unsigned long long>(memRegions_[i - 1].id),
-                    static_cast<unsigned long long>(memRegions_[i].id));
-                return;
+    auto unit = [&](std::size_t u) {
+        if (u < n) {
+            cpu_failed[u] = !cpus_[u].finalize(cpu_errors[u]);
+        } else if (u == n) {
+            // Region table sorted by address for O(log n) address
+            // lookups; the NUMA placement of a region is stored once
+            // and found per access through this index (paper section
+            // VI-A).
+            auto by_address = [](const MemRegion &a, const MemRegion &b) {
+                return a.address < b.address;
+            };
+            if (!std::is_sorted(memRegions_.begin(), memRegions_.end(),
+                                by_address))
+                std::sort(memRegions_.begin(), memRegions_.end(),
+                          by_address);
+            regionIndex_.clear();
+            regionIndex_.reserve(memRegions_.size());
+            for (std::size_t i = 0; i < memRegions_.size(); i++) {
+                const MemRegion &region = memRegions_[i];
+                if (i > 0) {
+                    const MemRegion &prev = memRegions_[i - 1];
+                    if (region.address < prev.address + prev.size &&
+                        region.size > 0 && prev.size > 0) {
+                        region_error = strFormat(
+                            "memory regions %llu and %llu overlap",
+                            static_cast<unsigned long long>(prev.id),
+                            static_cast<unsigned long long>(region.id));
+                        return;
+                    }
+                }
+                regionIndex_[region.id] = i;
             }
-            regionIndex_[memRegions_[i].id] = i;
+        } else if (u == n + 1) {
+            // Group accesses by task instance so a task's accesses are
+            // one binary-searched range (accessRange()). Traces written
+            // after a finalize (every file round-trip) arrive already
+            // grouped; the is_sorted probe makes their reload O(n).
+            if (!std::is_sorted(memAccesses_.begin(), memAccesses_.end(),
+                                byTask))
+                std::stable_sort(memAccesses_.begin(), memAccesses_.end(),
+                                 byTask);
+        } else {
+            // Task-instance id -> index (insertion order, last
+            // duplicate wins, matching the behaviour of indexing on
+            // append).
+            instanceIndex_.clear();
+            instanceIndex_.reserve(taskInstances_.size());
+            for (std::size_t i = 0; i < taskInstances_.size(); i++)
+                instanceIndex_[taskInstances_[i].id] = i;
         }
     };
-
-    // Group accesses by task instance so per-task locality queries are
-    // a range scan rather than a full pass. Traces written after a
-    // finalize (every file round-trip) arrive already grouped; the
-    // is_sorted probe makes their reload O(n) instead of O(n log n).
-    auto build_access_ranges = [&] {
-        auto by_task = [](const MemAccess &a, const MemAccess &b) {
-            return a.task < b.task;
-        };
-        if (!std::is_sorted(memAccesses_.begin(), memAccesses_.end(),
-                            by_task))
-            std::stable_sort(memAccesses_.begin(), memAccesses_.end(),
-                             by_task);
-        accessRanges_.clear();
-        accessRanges_.reserve(taskInstances_.size());
-        std::size_t begin = 0;
-        for (std::size_t i = 0; i <= memAccesses_.size(); i++) {
-            if (i == memAccesses_.size() ||
-                (i > begin &&
-                 memAccesses_[i].task != memAccesses_[begin].task)) {
-                if (i > begin)
-                    accessRanges_[memAccesses_[begin].task] = {begin, i};
-                begin = i;
-            }
-        }
-    };
-
-    // Task-instance id -> index (insertion order, last duplicate wins,
-    // matching the behaviour of indexing on append).
-    auto build_instance_index = [&] {
-        instanceIndex_.clear();
-        instanceIndex_.reserve(taskInstances_.size());
-        for (std::size_t i = 0; i < taskInstances_.size(); i++)
-            instanceIndex_[taskInstances_[i].id] = i;
-    };
-
-    lastTime_ = 0;
-    if (pool && cpus_.size() > 1) {
-        // Independent units on the pool: one ordering validation per
-        // CPU plus the three index builds (they touch disjoint
-        // members). The lowest-numbered failing CPU is reported and
-        // errors rank exactly like the serial control flow below.
-        const std::size_t n = cpus_.size();
-        std::vector<std::string> cpu_errors(n);
-        std::vector<std::uint8_t> cpu_failed(n, 0);
-        pool->parallelFor(n + 3, [&](std::size_t unit) {
-            if (unit < n) {
-                if (!cpus_[unit].finalize(cpu_errors[unit]))
-                    cpu_failed[unit] = 1;
-            } else if (unit == n) {
-                build_region_index();
-            } else if (unit == n + 1) {
-                build_access_ranges();
-            } else {
-                build_instance_index();
-            }
-        });
-        for (CpuId c = 0; c < n; c++) {
-            if (cpu_failed[c]) {
-                error = strFormat("cpu %u: %s", c, cpu_errors[c].c_str());
-                return false;
-            }
-        }
-        for (CpuId c = 0; c < n; c++)
-            lastTime_ = std::max(lastTime_, cpus_[c].lastTime());
+    if (pool) {
+        pool->parallelFor(n + 3, unit);
     } else {
-        for (CpuId c = 0; c < cpus_.size(); c++) {
-            std::string cpu_error;
-            if (!cpus_[c].finalize(cpu_error)) {
-                error = strFormat("cpu %u: %s", c, cpu_error.c_str());
-                return false;
-            }
-            lastTime_ = std::max(lastTime_, cpus_[c].lastTime());
-        }
-        build_region_index();
-        build_access_ranges();
-        build_instance_index();
+        for (std::size_t u = 0; u < n + 3; u++)
+            unit(u);
     }
 
+    // The lowest-numbered failing CPU wins, then an instance on an
+    // invalid CPU, then overlapping regions.
+    lastTime_ = 0;
+    for (CpuId c = 0; c < n; c++) {
+        if (cpu_failed[c]) {
+            error = strFormat("cpu %u: %s", c, cpu_errors[c].c_str());
+            return false;
+        }
+        lastTime_ = std::max(lastTime_, cpus_[c].lastTime());
+    }
     for (const TaskInstance &instance : taskInstances_) {
-        if (instance.cpu >= cpus_.size()) {
+        if (instance.cpu >= n) {
             error = strFormat("task instance %llu on invalid cpu %u",
                               static_cast<unsigned long long>(instance.id),
                               instance.cpu);
@@ -219,7 +194,6 @@ Trace::finalize(std::string &error, base::ThreadPool *pool)
         }
         lastTime_ = std::max(lastTime_, instance.interval.end);
     }
-
     if (!region_error.empty()) {
         error = region_error;
         return false;
@@ -281,25 +255,13 @@ std::pair<std::vector<MemAccess>::const_iterator,
           std::vector<MemAccess>::const_iterator>
 Trace::accessRange(TaskInstanceId id) const
 {
-    auto it = accessRanges_.find(id);
-    if (it == accessRanges_.end())
+    // Only finalize() groups the table by task.
+    if (!finalized_)
         return {memAccesses_.end(), memAccesses_.end()};
-    return {memAccesses_.begin() +
-                static_cast<std::ptrdiff_t>(it->second.first),
-            memAccesses_.begin() +
-                static_cast<std::ptrdiff_t>(it->second.second)};
-}
-
-std::vector<MemAccess>::const_iterator
-Trace::accessesBegin(TaskInstanceId id) const
-{
-    return accessRange(id).first;
-}
-
-std::vector<MemAccess>::const_iterator
-Trace::accessesEnd(TaskInstanceId id) const
-{
-    return accessRange(id).second;
+    MemAccess key;
+    key.task = id;
+    return std::equal_range(memAccesses_.begin(), memAccesses_.end(), key,
+                            byTask);
 }
 
 } // namespace trace

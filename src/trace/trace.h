@@ -42,7 +42,7 @@ namespace trace {
  * Populate with the add/set methods (in any order; per-CPU arrays must be
  * appended time-ordered), then call finalize() exactly once before
  * analysis. finalize() validates ordering invariants, sorts the region
- * table by address and builds the per-task memory-access index.
+ * table by address and groups the memory accesses by task.
  */
 class Trace
 {
@@ -84,22 +84,21 @@ class Trace
     CpuTimeline &cpu(CpuId cpu);
 
     /**
-     * Validate and index the trace.
+     * Validate and index the trace: per-CPU ordering validation, the
+     * region index, the per-task access grouping and the instance
+     * index, each an independent unit.
      *
      * @param error Receives a description of the first violation.
+     * @param pool Runs the units through parallelFor() (borrowed; may
+     *        be the pool the caller itself runs on); nullptr runs them
+     *        on the calling thread. The result, including which
+     *        violation is reported, is identical either way: the
+     *        lowest-numbered failing CPU wins, then a task instance on
+     *        an invalid CPU, then overlapping regions.
      * @return true on success; the trace is unusable for analysis if
      *         validation fails.
      */
-    bool finalize(std::string &error);
-
-    /**
-     * finalize() with the per-CPU ordering validation distributed over
-     * @p pool (nullptr validates serially). The result — including
-     * which violation is reported — is identical to the serial form:
-     * every CPU validates independently and the lowest-numbered failing
-     * CPU wins. The parallel trace reader drives this overload.
-     */
-    bool finalize(std::string &error, base::ThreadPool *pool);
+    bool finalize(std::string &error, base::ThreadPool *pool = nullptr);
 
     // -- Access ----------------------------------------------------------
 
@@ -174,20 +173,14 @@ class Trace
 
     /**
      * The accesses performed by task instance @p id as an iterator pair
-     * [first, second). Unknown ids yield a well-defined empty range
-     * (both iterators equal); the pair is always safe to iterate.
+     * [first, second), found by binary search in the task-grouped
+     * table. Unknown ids, and every id before finalize(), yield a
+     * well-defined empty range (both iterators equal); the pair is
+     * always safe to iterate.
      */
     std::pair<std::vector<MemAccess>::const_iterator,
               std::vector<MemAccess>::const_iterator>
     accessRange(TaskInstanceId id) const;
-
-    /** First access of task @p id; accessRange(id).first. */
-    std::vector<MemAccess>::const_iterator accessesBegin(
-        TaskInstanceId id) const;
-
-    /** Past-the-end access of task @p id; accessRange(id).second. */
-    std::vector<MemAccess>::const_iterator accessesEnd(
-        TaskInstanceId id) const;
 
     /** True once finalize() has succeeded. */
     bool finalized() const { return finalized_; }
@@ -207,9 +200,7 @@ class Trace
     std::vector<MemRegion> memRegions_;
     std::unordered_map<RegionId, std::size_t> regionIndex_;
 
-    std::vector<MemAccess> memAccesses_;
-    std::unordered_map<TaskInstanceId,
-                       std::pair<std::size_t, std::size_t>> accessRanges_;
+    std::vector<MemAccess> memAccesses_; ///< Grouped by task after finalize().
 
     TimeStamp lastTime_ = 0;
     bool finalized_ = false;

@@ -15,6 +15,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -278,6 +281,104 @@ TEST(ThreadPoolPriority, IdleForTracksQuiescence)
     pool.wait();
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     EXPECT_GT(pool.idleFor().count(), 0);
+}
+
+/**
+ * Run @p body under a watchdog: if it has not returned after @p limit
+ * the test reports a failure and the process exits, since a pool whose
+ * workers deadlocked could never be joined.
+ */
+void
+finishesWithin(std::chrono::seconds limit, const std::function<void()> &body)
+{
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool finished = false;
+    std::thread watchdog([&] {
+        std::unique_lock<std::mutex> lock(mutex);
+        if (!cv.wait_for(lock, limit, [&] { return finished; })) {
+            ADD_FAILURE() << "no progress after " << limit.count()
+                          << " s: deadlock";
+            std::fprintf(stderr, "watchdog: deadlock, exiting\n");
+            std::_Exit(1);
+        }
+    });
+    body();
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        finished = true;
+    }
+    cv.notify_all();
+    watchdog.join();
+}
+
+TEST(ThreadPoolPriority, ParallelForFromEveryWorkerAtOnceCompletes)
+{
+    // Both workers of a 2-worker pool are inside parallelFor at once,
+    // so no worker is free for a queued helper: each caller must finish
+    // its own range instead of waiting for helpers that never start.
+    finishesWithin(std::chrono::seconds(20), [] {
+        base::ThreadPool pool(2);
+        std::atomic<int> arrived{0};
+        std::atomic<std::size_t> sum{0};
+        for (int t = 0; t < 2; t++) {
+            pool.submit([&] {
+                arrived.fetch_add(1);
+                while (arrived.load() < 2)
+                    std::this_thread::yield();
+                pool.parallelFor(16, [&](std::size_t i) {
+                    sum.fetch_add(i + 1);
+                });
+            });
+        }
+        pool.wait();
+        EXPECT_EQ(sum.load(), 2u * (16u * 17u / 2u));
+    });
+}
+
+TEST(ThreadPoolPriority, OneWorkerPoolAndCallerRunTwoBodiesAtOnce)
+{
+    // Body 0 waits for a flag only body 1 sets: the range completes
+    // promptly only if the pool's one worker and the caller run the
+    // two bodies concurrently.
+    base::ThreadPool pool(1);
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool flag = false;
+    bool saw_flag = false;
+    pool.parallelFor(2, [&](std::size_t i) {
+        std::unique_lock<std::mutex> lock(mutex);
+        if (i == 1) {
+            flag = true;
+            cv.notify_all();
+        } else {
+            saw_flag = cv.wait_for(lock, std::chrono::seconds(10),
+                                   [&] { return flag; });
+        }
+    });
+    EXPECT_TRUE(saw_flag);
+}
+
+TEST(ThreadPoolPriority, HighTaskSubmittedMidRangeRunsBeforeRangeEnds)
+{
+    // Two helpers and the caller share 64 slow bodies. A High task
+    // queued after the fifth body started must find a worker long
+    // before the range runs out: helpers step aside before their next
+    // claim and the caller finishes the range.
+    constexpr std::size_t kBodies = 64;
+    base::ThreadPool pool(2);
+    std::atomic<std::size_t> started{0};
+    std::atomic<std::size_t> started_when_high_ran{kBodies + 1};
+    pool.parallelFor(kBodies, [&](std::size_t) {
+        if (started.fetch_add(1) + 1 == 5) {
+            pool.submit([&] { started_when_high_ran = started.load(); },
+                        base::TaskPriority::High);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+    pool.wait();
+    EXPECT_EQ(started.load(), kBodies);
+    EXPECT_LT(started_when_high_ran.load(), kBodies);
 }
 
 // -- Query priorities on the engine --------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "base/thread_pool.h"
 #include "trace/trace.h"
 
 namespace aftermath {
@@ -219,10 +220,16 @@ TEST_F(TraceTest, AccessesGroupedByTask)
     std::string err;
     ASSERT_TRUE(tr.finalize(err)) << err;
 
-    EXPECT_EQ(std::distance(tr.accessesBegin(10), tr.accessesEnd(10)), 1);
-    EXPECT_EQ(std::distance(tr.accessesBegin(11), tr.accessesEnd(11)), 2);
-    EXPECT_EQ(std::distance(tr.accessesBegin(12), tr.accessesEnd(12)), 0);
-    EXPECT_EQ(tr.accessesBegin(10)->address, 0x1000u);
+    auto [first10, last10] = tr.accessRange(10);
+    ASSERT_EQ(std::distance(first10, last10), 1);
+    EXPECT_EQ(first10->address, 0x1000u);
+    auto [first11, last11] = tr.accessRange(11);
+    ASSERT_EQ(std::distance(first11, last11), 2);
+    // Grouping is stable: task 11's accesses keep insertion order.
+    EXPECT_EQ(first11[0].address, 0x2000u);
+    EXPECT_EQ(first11[1].address, 0x3000u);
+    auto [first12, last12] = tr.accessRange(12);
+    EXPECT_EQ(std::distance(first12, last12), 0);
 }
 
 TEST_F(TraceTest, AccessRangeIsEmptyForUnknownTask)
@@ -233,19 +240,24 @@ TEST_F(TraceTest, AccessRangeIsEmptyForUnknownTask)
     ASSERT_TRUE(tr.finalize(err)) << err;
 
     // Unknown ids yield an iterable empty range, not dangling iterators.
-    auto [first, last] = tr.accessRange(999);
-    EXPECT_EQ(first, last);
-    EXPECT_EQ(tr.accessesBegin(999), tr.accessesEnd(999));
-    std::size_t visited = 0;
-    for (auto it = first; it != last; ++it)
-        visited++;
-    EXPECT_EQ(visited, 0u);
-
-    // accessRange and accessesBegin/End agree for known ids too.
+    // Ids below and above the known one both miss.
+    for (TaskInstanceId id : {TaskInstanceId{0}, TaskInstanceId{999}}) {
+        auto [first, last] = tr.accessRange(id);
+        EXPECT_EQ(first, last) << "id " << id;
+        std::size_t visited = 0;
+        for (auto it = first; it != last; ++it)
+            visited++;
+        EXPECT_EQ(visited, 0u);
+    }
     auto [kf, kl] = tr.accessRange(10);
-    EXPECT_EQ(kf, tr.accessesBegin(10));
-    EXPECT_EQ(kl, tr.accessesEnd(10));
     EXPECT_EQ(std::distance(kf, kl), 1);
+}
+
+TEST_F(TraceTest, AccessRangeIsEmptyBeforeFinalize)
+{
+    tr.addMemAccess({10, 0x1000, 4, true});
+    auto [first, last] = tr.accessRange(10);
+    EXPECT_EQ(first, last);
 }
 
 TEST_F(TraceTest, AccessRangeOnTraceWithoutAccesses)
@@ -254,6 +266,55 @@ TEST_F(TraceTest, AccessRangeOnTraceWithoutAccesses)
     ASSERT_TRUE(tr.finalize(err)) << err;
     auto [first, last] = tr.accessRange(0);
     EXPECT_EQ(first, last);
+}
+
+/**
+ * An 8-CPU trace breaking finalize() rules, in reporting order:
+ * overlapping states on cpu 2, out-of-order counter samples on cpu 5,
+ * a task instance on invalid cpu 9, overlapping memory regions. The
+ * first @p skip violations are left out.
+ */
+Trace
+brokenTrace(int skip)
+{
+    Trace tr;
+    tr.setTopology(MachineTopology::uniform(2, 4));
+    if (skip < 1) {
+        tr.cpu(2).addState({{0, 10}, 1, 0});
+        tr.cpu(2).addState({{5, 15}, 1, 0});
+    }
+    if (skip < 2) {
+        tr.cpu(5).addCounterSample(3, {100, 1});
+        tr.cpu(5).addCounterSample(3, {50, 2});
+    }
+    if (skip < 3)
+        tr.addTaskInstance({1, 0xabc, 9, {0, 5}});
+    tr.addMemRegion({1, 0x1000, 0x200, 0});
+    tr.addMemRegion({2, 0x1100, 0x100, 1});
+    return tr;
+}
+
+TEST(TraceFinalize, ReportsTheSameErrorWithAndWithoutAPool)
+{
+    const char *expected[] = {"cpu 2: ", "cpu 5: ",
+                              "task instance 1 on invalid cpu 9",
+                              "memory regions 1 and 2 overlap"};
+    for (int skip = 0; skip < 4; skip++) {
+        Trace serial = brokenTrace(skip);
+        std::string serial_error;
+        ASSERT_FALSE(serial.finalize(serial_error));
+        EXPECT_EQ(serial_error.rfind(expected[skip], 0), 0u)
+            << serial_error;
+        for (unsigned workers : {1u, 4u}) {
+            base::ThreadPool pool(workers);
+            Trace tr = brokenTrace(skip);
+            std::string error;
+            EXPECT_FALSE(tr.finalize(error, &pool));
+            EXPECT_FALSE(tr.finalized());
+            EXPECT_EQ(error, serial_error)
+                << "skip " << skip << ", " << workers << " workers";
+        }
+    }
 }
 
 TEST_F(TraceTest, CpuLookupBoundsChecked)

@@ -19,7 +19,12 @@
 
 #include "base/buffer.h"
 #include "base/thread_pool.h"
+#include "daemon/client.h"
+#include "daemon/protocol.h"
+#include "daemon/server.h"
+#include "render/framebuffer.h"
 #include "session/session.h"
+#include "stats/export.h"
 #include "trace/reader.h"
 #include "trace/writer.h"
 #include "trace_builder.h"
@@ -36,6 +41,21 @@ using test_support::RandomTraceOptions;
 const unsigned kWorkerCounts[] = {1, 2, 4, 8};
 
 /**
+ * Read @p bytes with @p workers decode threads beside this one: a
+ * borrowed pool of that size, or none at 1 (the calling thread alone).
+ */
+ReadResult
+readWithWorkers(const std::vector<std::uint8_t> &bytes, unsigned workers)
+{
+    if (workers <= 1)
+        return readTrace(bytes);
+    base::ThreadPool pool(workers);
+    ReadOptions options;
+    options.pool = &pool;
+    return readTrace(bytes, options);
+}
+
+/**
  * Round-trip @p tr through @p encoding at every worker count and
  * assert all decodes are bit-identical to the original (record-level
  * equality plus re-serialized byte equality, the strongest oracle).
@@ -46,9 +66,7 @@ expectRoundTripIdentical(const Trace &tr, Encoding encoding)
     std::vector<std::uint8_t> bytes = writeTrace(tr, encoding);
     std::vector<std::uint8_t> serial_reencoded;
     for (unsigned workers : kWorkerCounts) {
-        ReadOptions options;
-        options.workers = workers;
-        ReadResult result = readTrace(bytes, options);
+        ReadResult result = readWithWorkers(bytes, workers);
         ASSERT_TRUE(result.ok)
             << "workers " << workers << ": " << result.error;
         EXPECT_EQ(result.encoding, encoding);
@@ -109,9 +127,7 @@ TEST(ReaderRoundTrip, EmptyTrace)
     writer.topology(MachineTopology::uniform(1, 1));
     std::vector<std::uint8_t> bytes = writer.finish();
     for (unsigned workers : kWorkerCounts) {
-        ReadOptions options;
-        options.workers = workers;
-        ReadResult result = readTrace(bytes, options);
+        ReadResult result = readWithWorkers(bytes, workers);
         ASSERT_TRUE(result.ok) << result.error;
         EXPECT_EQ(result.trace.numCpus(), 1u);
         EXPECT_EQ(result.trace.cpu(0).states().size(), 0u);
@@ -145,9 +161,7 @@ TEST(ReaderRoundTrip, GlobalFramesOnlyTrace)
         writer.memAccess({1, 0x1010, 8, true});
         std::vector<std::uint8_t> bytes = writer.finish();
         for (unsigned workers : kWorkerCounts) {
-            ReadOptions options;
-            options.workers = workers;
-            ReadResult result = readTrace(bytes, options);
+            ReadResult result = readWithWorkers(bytes, workers);
             ASSERT_TRUE(result.ok) << result.error;
             EXPECT_EQ(result.trace.taskInstances().size(), 2u);
             EXPECT_EQ(result.trace.memRegions().size(), 1u);
@@ -186,9 +200,7 @@ TEST(ReaderRoundTrip, MemoryFramesMayPrecedeTheTopology)
 
     std::vector<std::uint8_t> bytes = stream(false);
     for (unsigned workers : kWorkerCounts) {
-        ReadOptions options;
-        options.workers = workers;
-        ReadResult result = readTrace(bytes, options);
+        ReadResult result = readWithWorkers(bytes, workers);
         ASSERT_TRUE(result.ok) << result.error;
         ASSERT_EQ(result.trace.memRegions().size(), 2u);
         ASSERT_EQ(result.trace.memAccesses().size(), 1u);
@@ -306,9 +318,7 @@ TEST(ReaderCorruption, DiagnosticsCarryOffsetAndFrameKind)
 
     std::string first_error;
     for (unsigned workers : kWorkerCounts) {
-        ReadOptions options;
-        options.workers = workers;
-        ReadResult result = readTrace(bytes, options);
+        ReadResult result = readWithWorkers(bytes, workers);
         ASSERT_FALSE(result.ok) << "workers " << workers;
         EXPECT_NE(result.error.find("StateEvent"), std::string::npos)
             << result.error;
@@ -381,9 +391,7 @@ TEST(ReaderCorruption, ParallelDecodeReportsLowestOffsetError)
     std::vector<std::uint8_t> bytes = writer.take();
 
     for (unsigned workers : kWorkerCounts) {
-        ReadOptions options;
-        options.workers = workers;
-        ReadResult result = readTrace(bytes, options);
+        ReadResult result = readWithWorkers(bytes, workers);
         ASSERT_FALSE(result.ok);
         EXPECT_NE(result.error.find(
                       "offset " + std::to_string(first_bad)),
@@ -409,11 +417,8 @@ TEST(ReaderCorruption, SampledByteFlipsDiagnoseAlikeAtOneAndFourWorkers)
         for (std::uint8_t flip : {std::uint8_t{0x01}, std::uint8_t{0x80}}) {
             std::vector<std::uint8_t> corrupt = bytes;
             corrupt[pos] ^= flip;
-            ReadOptions serial_options;
-            ReadResult serial = readTrace(corrupt, serial_options);
-            ReadOptions parallel_options;
-            parallel_options.workers = 4;
-            ReadResult parallel = readTrace(corrupt, parallel_options);
+            ReadResult serial = readTrace(corrupt);
+            ReadResult parallel = readWithWorkers(corrupt, 4);
             ASSERT_EQ(parallel.ok, serial.ok) << "flip at " << pos;
             EXPECT_EQ(parallel.error, serial.error) << "flip at " << pos;
             if (serial.ok) {
@@ -455,9 +460,7 @@ TEST(ReaderCorruption, OverlongVarintsReachingBufferEndFailCleanly)
     std::vector<std::uint8_t> bytes = writer.take();
 
     for (unsigned workers : kWorkerCounts) {
-        ReadOptions options;
-        options.workers = workers;
-        ReadResult result = readTrace(bytes, options);
+        ReadResult result = readWithWorkers(bytes, workers);
         ASSERT_FALSE(result.ok) << "workers " << workers;
         EXPECT_NE(result.error.find("MemAccess"), std::string::npos)
             << result.error;
@@ -473,8 +476,9 @@ TEST(ReaderCorruption, OverlongVarintsReachingBufferEndFailCleanly)
 TEST(ReaderCancellation, PreCancelledTokenStopsTheLoad)
 {
     std::vector<std::uint8_t> bytes = smallTraceBytes(Encoding::Compact);
+    base::ThreadPool pool(2);
     ReadOptions options;
-    options.workers = 2;
+    options.pool = &pool;
     options.cancel.requestCancel();
     ReadResult result = readTrace(bytes, options);
     EXPECT_FALSE(result.ok);
@@ -494,14 +498,13 @@ TEST(ReaderCancellation, CancelFromYieldDuringParallelDecode)
     writer.writeU8(static_cast<std::uint8_t>(FrameType::EndOfTrace));
     std::vector<std::uint8_t> bytes = writer.take();
 
-    ReadOptions plain;
-    plain.workers = 4;
-    ASSERT_TRUE(readTrace(bytes, plain).ok);
+    ASSERT_TRUE(readWithWorkers(bytes, 4).ok);
 
     const std::size_t scan_polls = 8191 / 4096;
     std::size_t polls = 0;
+    base::ThreadPool pool(4);
     ReadOptions options;
-    options.workers = 4;
+    options.pool = &pool;
     options.yield = [&] {
         if (++polls > scan_polls)
             options.cancel.requestCancel();
@@ -608,6 +611,210 @@ TEST(TraceLoadQuery, GenerationBumpsDoNotCancelALoad)
     session.clearFilters();
     session::TraceLoadResult result = ticket.take();
     EXPECT_TRUE(result.ok) << result.error;
+}
+
+// ---- Loads on the engine's pool ----------------------------------------
+
+/** Above the 4096-frame threshold, so pooled loads decode on a pool. */
+Trace
+pooledLoadTrace()
+{
+    RandomTraceOptions options;
+    options.cpus = 16;
+    options.counters = 2;
+    options.statesPerCpu = 200;
+    return buildRandomTrace(31, options);
+}
+
+/** Wire encoding of a reply, for byte-identity against local answers. */
+template <typename Value, typename Encode>
+std::vector<std::uint8_t>
+encoded(const Value &value, Encode encode)
+{
+    ByteWriter w;
+    encode(value, w);
+    return w.take();
+}
+
+TEST(EngineLoad, TraceLoadQueryMatchesSerialReadAtOneAndFourWorkers)
+{
+    const Trace built = pooledLoadTrace();
+    auto bytes = std::make_shared<const std::vector<std::uint8_t>>(
+        writeTrace(built, Encoding::Compact));
+    const std::string path =
+        ::testing::TempDir() + "aftermath_engine_load.ostv";
+    std::string error;
+    ASSERT_TRUE(writeTraceFile(built, path, Encoding::Compact, error))
+        << error;
+    ReadResult serial = readTrace(*bytes);
+    ASSERT_TRUE(serial.ok) << serial.error;
+    const std::vector<std::uint8_t> expected =
+        writeTrace(serial.trace, Encoding::Raw);
+
+    for (unsigned workers : {1u, 4u}) {
+        for (bool from_file : {false, true}) {
+            Session session(buildRandomTrace(1, {.cpus = 2}));
+            session.setConcurrency({workers});
+            session::TraceLoadQuery query;
+            if (from_file)
+                query.path = path;
+            else
+                query.bytes = bytes;
+            session::TraceLoadResult result = session.submit(query).take();
+            ASSERT_TRUE(result.ok) << result.error;
+            EXPECT_EQ(writeTrace(*result.trace, Encoding::Raw), expected)
+                << workers << " workers, from "
+                << (from_file ? "file" : "bytes");
+        }
+    }
+}
+
+TEST(EngineLoad, InteractiveQuerySubmittedDuringDecodeFinishesFirst)
+{
+    // 1 topology + (32 * 4096 - 3) state events + 1 end = 32 * 4096 - 1
+    // frames: the loading thread's scan polls 31 times and its next
+    // poll comes with the first frames it decodes (parallelFor hands
+    // the calling thread the first, largest lane).
+    const std::uint32_t cpus = 16;
+    const std::size_t frames = 32 * 4096 - 1;
+    ByteWriter writer = compactHeader(cpus);
+    writeValidStates(writer, cpus, frames - 2);
+    writer.writeU8(static_cast<std::uint8_t>(FrameType::EndOfTrace));
+    const std::vector<std::uint8_t> bytes = writer.take();
+    const std::size_t scan_polls = frames / 4096;
+
+    // The load runs as a TraceLoadQuery runs it: a task on the engine's
+    // 4-worker pool, decoding on that same pool and donating its thread
+    // to queued interactive work at every poll. At its first
+    // decode-time poll it submits an interactive query.
+    Session session(buildRandomTrace(5, {.cpus = 4}));
+    session.setConcurrency({4});
+    session::QueryTicket<stats::IntervalStats> query;
+    bool load_ok = false;
+    bool query_done_first = false;
+    session.queryEngine()->withPool([&](base::ThreadPool &pool) {
+        pool.submit([&] {
+            std::size_t polls = 0;
+            ReadOptions options;
+            options.pool = &pool;
+            options.yield = [&] {
+                if (++polls == scan_polls + 1)
+                    query = session.submit(session::IntervalStatsQuery{});
+                while (pool.hasHighPriorityWork() &&
+                       pool.runOneHighPriorityTask()) {
+                }
+            };
+            load_ok = readTrace(bytes, options).ok;
+            query_done_first = query.valid() &&
+                               query.status() == session::QueryStatus::Done;
+        });
+    });
+    session.queryEngine()->drain();
+    EXPECT_TRUE(load_ok);
+    ASSERT_TRUE(query.valid()) << "no poll during lane decode";
+    EXPECT_TRUE(query_done_first);
+    EXPECT_EQ(encoded(query.take(), stats::encodeIntervalStats),
+              encoded(session.intervalStats(), stats::encodeIntervalStats));
+}
+
+TEST(DaemonLoad, OpenTraceByPathAndBytesMatchesSerialRead)
+{
+    // The daemon loads on its engine; the wire answers for the loaded
+    // trace must equal a local session's over a serial read: task
+    // list, whole-span stats, every counter's extrema, and State and
+    // NumaRead frames (NUMA colours read the access and region tables).
+    using namespace aftermath::daemon;
+    const Trace built = pooledLoadTrace();
+    std::vector<std::uint8_t> bytes = writeTrace(built, Encoding::Compact);
+    const std::string path =
+        ::testing::TempDir() + "aftermath_daemon_load.ostv";
+    std::string error;
+    ASSERT_TRUE(writeTraceFile(built, path, Encoding::Compact, error))
+        << error;
+    ReadResult serial = readTrace(bytes);
+    ASSERT_TRUE(serial.ok) << serial.error;
+    Session local = Session::view(serial.trace);
+    const TimeInterval span = serial.trace.span();
+    const render::TimelineMode modes[] = {render::TimelineMode::State,
+                                          render::TimelineMode::NumaRead};
+
+    Server server(Server::Options{4, 16});
+    Client client;
+    ASSERT_TRUE(client.adopt(server.connectInProcess(), error)) << error;
+    for (bool inline_bytes : {false, true}) {
+        SCOPED_TRACE(inline_bytes ? "inline bytes" : "path");
+        OpenTraceRequest open;
+        if (inline_bytes)
+            open.bytes =
+                std::make_shared<const std::vector<std::uint8_t>>(bytes);
+        else
+            open.path = path;
+        Reply<OpenTraceReply> opened = client.openTrace(open);
+        ASSERT_TRUE(opened.ok()) << opened.message;
+        EXPECT_EQ(opened.value.numCpus, serial.trace.numCpus());
+        EXPECT_EQ(opened.value.span, span);
+        const std::uint64_t id = opened.value.traceId;
+
+        TaskListRequest tasks;
+        tasks.head.traceId = id;
+        Reply<std::vector<TaskRow>> rows = client.taskList(tasks);
+        ASSERT_TRUE(rows.ok()) << rows.message;
+        std::vector<TaskRow> expect_rows;
+        for (const TaskInstance *task : local.tasks())
+            expect_rows.push_back(
+                TaskRow{task->id, task->type, task->cpu, task->interval});
+        EXPECT_EQ(encoded(rows.value, encodeTaskRows),
+                  encoded(expect_rows, encodeTaskRows));
+
+        IntervalStatsRequest stats_request;
+        stats_request.head.traceId = id;
+        stats_request.interval = span;
+        Reply<stats::IntervalStats> stats = client.intervalStats(
+            stats_request);
+        ASSERT_TRUE(stats.ok()) << stats.message;
+        EXPECT_EQ(encoded(stats.value, stats::encodeIntervalStats),
+                  encoded(local.intervalStats(span),
+                          stats::encodeIntervalStats));
+
+        for (CpuId cpu = 0; cpu < serial.trace.numCpus(); cpu++) {
+            for (CounterId counter = 0; counter < 2; counter++) {
+                CounterExtremaRequest extrema;
+                extrema.head.traceId = id;
+                extrema.cpu = cpu;
+                extrema.counter = counter;
+                extrema.interval = span;
+                Reply<index::MinMax> m = client.counterExtrema(extrema);
+                ASSERT_TRUE(m.ok()) << m.message;
+                EXPECT_EQ(encoded(m.value, stats::encodeMinMax),
+                          encoded(local.counterExtrema(cpu, counter, span),
+                                  stats::encodeMinMax))
+                    << "cpu " << cpu << " counter " << counter;
+            }
+        }
+
+        for (render::TimelineMode mode : modes) {
+            TimelineRenderRequest render;
+            render.head.traceId = id;
+            render.mode = static_cast<std::uint8_t>(mode);
+            render.view = span;
+            render.width = 160;
+            render.height = 120;
+            Reply<RenderReply> frame = client.timelineRender(render);
+            ASSERT_TRUE(frame.ok()) << frame.message;
+            render::TimelineConfig config;
+            config.mode = mode;
+            config.view = span;
+            render::Framebuffer fb(render.width, render.height);
+            RenderReply expect_frame;
+            expect_frame.stats = local.render(config, fb);
+            expect_frame.fb = fb;
+            EXPECT_EQ(encoded(frame.value, encodeRenderReply),
+                      encoded(expect_frame, encodeRenderReply))
+                << "mode " << static_cast<int>(mode);
+        }
+        EXPECT_TRUE(client.closeTrace(id).ok());
+    }
+    server.stop();
 }
 
 } // namespace
