@@ -1,9 +1,18 @@
 #include "base/thread_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace aftermath {
 namespace base {
+
+namespace {
+
+/** The pool whose High task the calling thread runs, if any:
+ *  parallelFor() queues that task's helpers at High too. */
+thread_local const ThreadPool *tlsHighTaskPool = nullptr;
+
+} // namespace
 
 unsigned
 ThreadPool::defaultWorkers()
@@ -143,7 +152,10 @@ ThreadPool::runOneHighPriorityTask()
         highQueued_.fetch_sub(1, std::memory_order_release);
         running_++;
     }
+    // Restored on return: the donor may itself be a High task.
+    const ThreadPool *donor = std::exchange(tlsHighTaskPool, this);
     task();
+    tlsHighTaskPool = donor;
     {
         MutexLock lock(mutex_);
         running_--;
@@ -166,6 +178,7 @@ ThreadPool::workerLoop()
                 wake_.wait(lock);
             if (highQueue_.empty() && queue_.empty())
                 return; // stopping_ with drained queues.
+            tlsHighTaskPool = highQueue_.empty() ? nullptr : this;
             if (!highQueue_.empty()) {
                 task = std::move(highQueue_.front());
                 highQueue_.pop_front();
@@ -220,20 +233,22 @@ ThreadPool::parallelFor(std::size_t n,
     // can otherwise drain a short range before the caller runs), and
     // it never waits for a helper that is still queued, so the range
     // completes even when every worker is busy — including when the
-    // caller is itself a task of this pool. Helpers step aside for
-    // queued High work before each claim; the caller finishes whatever
-    // they leave.
+    // caller is itself a task of this pool. A High task's helpers are
+    // High too, so they do not wait behind background work; Normal
+    // helpers step aside for queued High work before each claim, and
+    // the caller finishes whatever they leave.
+    const bool high = tlsHighTaskPool == this;
     auto state = std::make_shared<ForState>();
     state->next.store(1, std::memory_order_relaxed);
     const auto *fn = &body;
     std::size_t helpers = std::min<std::size_t>(workers_.size(), n - 1);
     for (std::size_t h = 0; h < helpers; h++) {
-        submit([this, state, fn, n] {
+        submit([this, state, fn, n, high] {
             {
                 MutexLock lock(state->mutex);
                 state->claimers++;
             }
-            while (!hasHighPriorityWork()) {
+            while (high || !hasHighPriorityWork()) {
                 std::size_t i =
                     state->next.fetch_add(1, std::memory_order_relaxed);
                 if (i >= n)
@@ -243,7 +258,7 @@ ThreadPool::parallelFor(std::size_t n,
             MutexLock lock(state->mutex);
             if (--state->claimers == 0)
                 state->done.notifyAll();
-        });
+        }, high ? TaskPriority::High : TaskPriority::Normal);
     }
     body(0);
     for (;;) {

@@ -208,16 +208,14 @@ class ThreadPool
     /**
      * Run body(i) for every i in [0, n), distributing indexes across
      * the workers, and block until all calls returned. The calling
-     * thread runs index 0 itself, claims further indexes like the
-     * helpers, and waits only for bodies another thread already
-     * claimed, never for a helper still queued: a call
-     * from inside a task of this pool cannot deadlock, and on a busy
-     * pool the caller runs the whole range itself. Chunking is by
-     * single index: bodies are expected to be coarse (a lane decode, a
-     * per-CPU scan), where scheduling overhead is noise. Helpers run
-     * at Normal priority and leave before their next claim while High
-     * work is queued, so interactive work waits for at most one body
-     * per helper; the caller finishes what they leave.
+     * thread runs index 0 and claims further indexes like the helpers;
+     * it waits only for bodies another thread already claimed, so a
+     * call from inside a task of this pool cannot deadlock. Chunking is
+     * by single index: bodies are expected to be coarse (a lane decode,
+     * a per-CPU scan), where scheduling overhead is noise. The helpers
+     * of a High task of this pool run at High; all others run at Normal
+     * and leave before their next claim while High work is queued, and
+     * the caller finishes what they leave.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);

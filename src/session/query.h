@@ -317,9 +317,8 @@ struct AnomalyScanQuery
 
 /**
  * Load a trace off the interaction path: the two-phase parallel reader
- * (trace/reader.h) runs as a task on the engine's pool, its lane decode
- * and finalize run as units on that same pool (no other thread is
- * started), and the finished trace comes back through the ticket,
+ * (trace/reader.h) runs as a task on the engine's pool and decodes on
+ * that same pool; the finished trace comes back through the ticket,
  * ready to swap in with Session::setTrace(result.trace) from the
  * driving thread — executors never mutate the session, so queries over
  * the old trace stay valid until the swap.
@@ -331,10 +330,10 @@ struct AnomalyScanQuery
  * frame-run boundary (the ticket completes Cancelled, no result).
  *
  * Background by default: a load queues behind interactive work, and
- * while running, its own thread drains queued Interactive tasks at
- * batch boundaries (every 4096 frames scanned or decoded) while its
- * decode helpers step aside between lanes, so even a single-worker
- * engine stays responsive during a long load.
+ * while running, its own thread drains queued Interactive tasks every
+ * 4096 frames and its decode helpers step aside between lanes, so even
+ * a single-worker engine stays responsive during a long load. An
+ * Interactive load (the daemon's) does neither.
  */
 struct TraceLoadQuery
 {

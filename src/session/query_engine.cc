@@ -858,23 +858,26 @@ Session::submit(const TraceLoadQuery &query)
     // Bridge ticket.cancel() into the reader's cooperative poll (the
     // token copies share one flag).
     options.cancel = state->cancel;
+    const bool background =
+        query.context.priority == QueryPriority::Background;
     return submitTask(
         *engine_, std::move(state), query.context.priority,
-        [bytes = query.bytes, path = query.path, options](
+        [bytes = query.bytes, path = query.path, options, background](
             const auto &,
             base::ThreadPool &pool) -> std::optional<TraceLoadResult> {
             // Lane decode and finalize run as units on the engine's
-            // pool. The load's serial frame scan can occupy a worker
-            // for the whole file; drain queued interactive tasks at the
-            // reader's poll boundaries so even a 1-worker engine stays
-            // responsive.
+            // pool. A background load's serial frame scan can occupy a
+            // worker for the whole file; drain queued interactive tasks
+            // at the reader's poll boundaries so even a 1-worker engine
+            // stays responsive. An interactive load is such a task.
             trace::ReadOptions read_options = options;
             read_options.pool = &pool;
-            read_options.yield = [&pool] {
-                while (pool.hasHighPriorityWork() &&
-                       pool.runOneHighPriorityTask()) {
-                }
-            };
+            if (background)
+                read_options.yield = [&pool] {
+                    while (pool.hasHighPriorityWork() &&
+                           pool.runOneHighPriorityTask()) {
+                    }
+                };
             trace::ReadResult read =
                 bytes ? trace::readTrace(*bytes, read_options)
                       : trace::readTraceFile(path, read_options);

@@ -150,14 +150,26 @@ Trace::finalize(std::string &error, base::ThreadPool *pool)
                 regionIndex_[region.id] = i;
             }
         } else if (u == n + 1) {
-            // Group accesses by task instance so a task's accesses are
-            // one binary-searched range (accessRange()). Traces written
-            // after a finalize (every file round-trip) arrive already
-            // grouped; the is_sorted probe makes their reload O(n).
+            // Group accesses by task instance and index each task's
+            // range, so accessRange() is one lookup, not a search of
+            // the whole table (a first NUMA frame asks once per visible
+            // task). Traces written after a finalize (every file
+            // round-trip) arrive already grouped; the is_sorted probe
+            // makes their reload O(n).
             if (!std::is_sorted(memAccesses_.begin(), memAccesses_.end(),
                                 byTask))
                 std::stable_sort(memAccesses_.begin(), memAccesses_.end(),
                                  byTask);
+            accessRanges_.clear();
+            accessRanges_.reserve(taskInstances_.size());
+            std::size_t begin = 0;
+            for (std::size_t i = 1; i <= memAccesses_.size(); i++) {
+                if (i == memAccesses_.size() ||
+                    memAccesses_[i].task != memAccesses_[begin].task) {
+                    accessRanges_[memAccesses_[begin].task] = {begin, i};
+                    begin = i;
+                }
+            }
         } else {
             // Task-instance id -> index (insertion order, last
             // duplicate wins, matching the behaviour of indexing on
@@ -255,13 +267,12 @@ std::pair<std::vector<MemAccess>::const_iterator,
           std::vector<MemAccess>::const_iterator>
 Trace::accessRange(TaskInstanceId id) const
 {
-    // Only finalize() groups the table by task.
-    if (!finalized_)
+    // Empty before finalize(), which builds the index.
+    auto it = accessRanges_.find(id);
+    if (it == accessRanges_.end())
         return {memAccesses_.end(), memAccesses_.end()};
-    MemAccess key;
-    key.task = id;
-    return std::equal_range(memAccesses_.begin(), memAccesses_.end(), key,
-                            byTask);
+    return {memAccesses_.begin() + it->second.first,
+            memAccesses_.begin() + it->second.second};
 }
 
 } // namespace trace

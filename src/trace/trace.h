@@ -42,7 +42,7 @@ namespace trace {
  * Populate with the add/set methods (in any order; per-CPU arrays must be
  * appended time-ordered), then call finalize() exactly once before
  * analysis. finalize() validates ordering invariants, sorts the region
- * table by address and groups the memory accesses by task.
+ * table by address and builds the per-task memory-access index.
  */
 class Trace
 {
@@ -173,10 +173,11 @@ class Trace
 
     /**
      * The accesses performed by task instance @p id as an iterator pair
-     * [first, second), found by binary search in the task-grouped
-     * table. Unknown ids, and every id before finalize(), yield a
-     * well-defined empty range (both iterators equal); the pair is
-     * always safe to iterate.
+     * [first, second), found through the per-task range index
+     * finalize() builds over the task-grouped table (one hash lookup).
+     * Unknown ids, and every id before finalize(), yield a well-defined
+     * empty range (both iterators equal); the pair is always safe to
+     * iterate.
      */
     std::pair<std::vector<MemAccess>::const_iterator,
               std::vector<MemAccess>::const_iterator>
@@ -201,6 +202,8 @@ class Trace
     std::unordered_map<RegionId, std::size_t> regionIndex_;
 
     std::vector<MemAccess> memAccesses_; ///< Grouped by task after finalize().
+    std::unordered_map<TaskInstanceId,
+                       std::pair<std::size_t, std::size_t>> accessRanges_;
 
     TimeStamp lastTime_ = 0;
     bool finalized_ = false;

@@ -381,6 +381,51 @@ TEST(ThreadPoolPriority, HighTaskSubmittedMidRangeRunsBeforeRangeEnds)
     EXPECT_LT(started_when_high_ran.load(), kBodies);
 }
 
+TEST(ThreadPoolPriority, ParallelForHelpersQueueAtTheCallersPriority)
+{
+    // Every worker but the caller's is parked, so a range's helper
+    // stays queued while body 0 looks at the queues: it is High work
+    // only when the range's caller is a High task of this pool.
+    struct Case
+    {
+        const char *name;
+        bool onPool;
+        base::TaskPriority priority;
+        bool expectHigh;
+    };
+    const Case cases[] = {
+        {"high task", true, base::TaskPriority::High, true},
+        {"normal task", true, base::TaskPriority::Normal, false},
+        {"off the pool", false, base::TaskPriority::Normal, false},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        base::ThreadPool pool(2);
+        std::vector<std::shared_ptr<Gate>> gates;
+        for (int parked = 0; parked < (c.onPool ? 1 : 2); parked++) {
+            gates.push_back(std::make_shared<Gate>());
+            pool.submit([gate = gates.back()] { gate->block(); });
+            gates.back()->awaitEntered();
+        }
+        std::atomic<bool> helper_high{!c.expectHigh};
+        auto range = [&] {
+            pool.parallelFor(2, [&](std::size_t i) {
+                if (i == 0)
+                    helper_high = pool.hasHighPriorityWork();
+            });
+        };
+        if (c.onPool) {
+            pool.submitTracked(range, c.priority).wait();
+        } else {
+            range();
+        }
+        EXPECT_EQ(helper_high.load(), c.expectHigh);
+        for (auto &gate : gates)
+            gate->release();
+        pool.wait();
+    }
+}
+
 // -- Query priorities on the engine --------------------------------------
 
 TEST(QueryPriorityDefaults, SpecsCarryTheirRole)

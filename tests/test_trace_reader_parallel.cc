@@ -12,9 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <initializer_list>
+#include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/buffer.h"
@@ -37,23 +40,35 @@ using test_support::buildRandomTrace;
 using test_support::expectTracesEqual;
 using test_support::RandomTraceOptions;
 
-/** Workers settings every equality test sweeps. */
-const unsigned kWorkerCounts[] = {1, 2, 4, 8};
+/**
+ * Decode pools every equality test sweeps: none (the calling thread
+ * alone, the serial reference), then 1, 2, 4 and 8 workers beside it.
+ */
+const unsigned kWorkerCounts[] = {0, 1, 2, 4, 8};
 
 /**
- * Read @p bytes with @p workers decode threads beside this one: a
- * borrowed pool of that size, or none at 1 (the calling thread alone).
+ * The pools of one sweep, built on first use and joined when the sweep
+ * ends: on(workers) lends the reader a pool of that many threads, or
+ * none at 0.
  */
-ReadResult
-readWithWorkers(const std::vector<std::uint8_t> &bytes, unsigned workers)
+class DecodePools
 {
-    if (workers <= 1)
-        return readTrace(bytes);
-    base::ThreadPool pool(workers);
-    ReadOptions options;
-    options.pool = &pool;
-    return readTrace(bytes, options);
-}
+  public:
+    ReadOptions
+    on(unsigned workers)
+    {
+        ReadOptions options;
+        if (workers > 0) {
+            if (!pools_[workers])
+                pools_[workers] = std::make_unique<base::ThreadPool>(workers);
+            options.pool = pools_[workers].get();
+        }
+        return options;
+    }
+
+  private:
+    std::unique_ptr<base::ThreadPool> pools_[9];
+};
 
 /**
  * Round-trip @p tr through @p encoding at every worker count and
@@ -65,8 +80,9 @@ expectRoundTripIdentical(const Trace &tr, Encoding encoding)
 {
     std::vector<std::uint8_t> bytes = writeTrace(tr, encoding);
     std::vector<std::uint8_t> serial_reencoded;
+    DecodePools pools;
     for (unsigned workers : kWorkerCounts) {
-        ReadResult result = readWithWorkers(bytes, workers);
+        ReadResult result = readTrace(bytes, pools.on(workers));
         ASSERT_TRUE(result.ok)
             << "workers " << workers << ": " << result.error;
         EXPECT_EQ(result.encoding, encoding);
@@ -75,7 +91,7 @@ expectRoundTripIdentical(const Trace &tr, Encoding encoding)
         // Re-serialize: equal bytes means equal traces, bit for bit.
         std::vector<std::uint8_t> reencoded =
             writeTrace(result.trace, Encoding::Raw);
-        if (workers == 1)
+        if (workers == 0)
             serial_reencoded = std::move(reencoded);
         else
             EXPECT_EQ(reencoded, serial_reencoded)
@@ -109,8 +125,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ReaderRoundTrip, LargeTraceExercisesThePool)
 {
-    // Big enough (> 4096 per-CPU frames) that workers > 1 really
-    // decodes on a ThreadPool instead of the small-trace fallback.
+    // Big enough (> 4096 per-CPU frames) that a lent pool really
+    // decodes instead of the small-trace fallback.
     RandomTraceOptions options;
     options.cpus = 16;
     options.counters = 2;
@@ -126,8 +142,9 @@ TEST(ReaderRoundTrip, EmptyTrace)
     TraceWriter writer(Encoding::Compact);
     writer.topology(MachineTopology::uniform(1, 1));
     std::vector<std::uint8_t> bytes = writer.finish();
+    DecodePools pools;
     for (unsigned workers : kWorkerCounts) {
-        ReadResult result = readWithWorkers(bytes, workers);
+        ReadResult result = readTrace(bytes, pools.on(workers));
         ASSERT_TRUE(result.ok) << result.error;
         EXPECT_EQ(result.trace.numCpus(), 1u);
         EXPECT_EQ(result.trace.cpu(0).states().size(), 0u);
@@ -160,8 +177,9 @@ TEST(ReaderRoundTrip, GlobalFramesOnlyTrace)
         writer.memRegion({1, 0x1000, 0x100, 0});
         writer.memAccess({1, 0x1010, 8, true});
         std::vector<std::uint8_t> bytes = writer.finish();
+        DecodePools pools;
         for (unsigned workers : kWorkerCounts) {
-            ReadResult result = readWithWorkers(bytes, workers);
+            ReadResult result = readTrace(bytes, pools.on(workers));
             ASSERT_TRUE(result.ok) << result.error;
             EXPECT_EQ(result.trace.taskInstances().size(), 2u);
             EXPECT_EQ(result.trace.memRegions().size(), 1u);
@@ -199,8 +217,9 @@ TEST(ReaderRoundTrip, MemoryFramesMayPrecedeTheTopology)
     };
 
     std::vector<std::uint8_t> bytes = stream(false);
+    DecodePools pools;
     for (unsigned workers : kWorkerCounts) {
-        ReadResult result = readWithWorkers(bytes, workers);
+        ReadResult result = readTrace(bytes, pools.on(workers));
         ASSERT_TRUE(result.ok) << result.error;
         ASSERT_EQ(result.trace.memRegions().size(), 2u);
         ASSERT_EQ(result.trace.memAccesses().size(), 1u);
@@ -317,8 +336,9 @@ TEST(ReaderCorruption, DiagnosticsCarryOffsetAndFrameKind)
     std::vector<std::uint8_t> bytes = writer.take();
 
     std::string first_error;
+    DecodePools pools;
     for (unsigned workers : kWorkerCounts) {
-        ReadResult result = readWithWorkers(bytes, workers);
+        ReadResult result = readTrace(bytes, pools.on(workers));
         ASSERT_FALSE(result.ok) << "workers " << workers;
         EXPECT_NE(result.error.find("StateEvent"), std::string::npos)
             << result.error;
@@ -326,7 +346,7 @@ TEST(ReaderCorruption, DiagnosticsCarryOffsetAndFrameKind)
                       "offset " + std::to_string(bad_offset)),
                   std::string::npos)
             << result.error;
-        if (workers == 1)
+        if (workers == 0)
             first_error = result.error;
         else
             EXPECT_EQ(result.error, first_error);
@@ -372,7 +392,7 @@ writeValidStates(ByteWriter &writer, std::uint32_t cpus,
 TEST(ReaderCorruption, ParallelDecodeReportsLowestOffsetError)
 {
     // Two corrupt frames on different CPUs behind enough valid frames
-    // that workers > 1 decodes on the pool: the reported diagnostic is
+    // that a lent pool decodes: the reported diagnostic is
     // the lower-offset one no matter how the lanes are scheduled.
     ByteWriter writer = compactHeader(2);
     writeValidStates(writer, 2, 6000);
@@ -390,8 +410,9 @@ TEST(ReaderCorruption, ParallelDecodeReportsLowestOffsetError)
     writer.writeU8(static_cast<std::uint8_t>(FrameType::EndOfTrace));
     std::vector<std::uint8_t> bytes = writer.take();
 
+    DecodePools pools;
     for (unsigned workers : kWorkerCounts) {
-        ReadResult result = readWithWorkers(bytes, workers);
+        ReadResult result = readTrace(bytes, pools.on(workers));
         ASSERT_FALSE(result.ok);
         EXPECT_NE(result.error.find(
                       "offset " + std::to_string(first_bad)),
@@ -412,13 +433,14 @@ TEST(ReaderCorruption, SampledByteFlipsDiagnoseAlikeAtOneAndFourWorkers)
     std::mt19937 rng(4242);
     std::uniform_int_distribution<std::size_t> position(0,
                                                         bytes.size() - 1);
+    DecodePools pools;
     for (int sample = 0; sample < 120; sample++) {
         const std::size_t pos = position(rng);
         for (std::uint8_t flip : {std::uint8_t{0x01}, std::uint8_t{0x80}}) {
             std::vector<std::uint8_t> corrupt = bytes;
             corrupt[pos] ^= flip;
             ReadResult serial = readTrace(corrupt);
-            ReadResult parallel = readWithWorkers(corrupt, 4);
+            ReadResult parallel = readTrace(corrupt, pools.on(4));
             ASSERT_EQ(parallel.ok, serial.ok) << "flip at " << pos;
             EXPECT_EQ(parallel.error, serial.error) << "flip at " << pos;
             if (serial.ok) {
@@ -459,8 +481,9 @@ TEST(ReaderCorruption, OverlongVarintsReachingBufferEndFailCleanly)
     writer.writeU8(0x01);     // very last byte of the buffer.
     std::vector<std::uint8_t> bytes = writer.take();
 
+    DecodePools pools;
     for (unsigned workers : kWorkerCounts) {
-        ReadResult result = readWithWorkers(bytes, workers);
+        ReadResult result = readTrace(bytes, pools.on(workers));
         ASSERT_FALSE(result.ok) << "workers " << workers;
         EXPECT_NE(result.error.find("MemAccess"), std::string::npos)
             << result.error;
@@ -498,7 +521,7 @@ TEST(ReaderCancellation, CancelFromYieldDuringParallelDecode)
     writer.writeU8(static_cast<std::uint8_t>(FrameType::EndOfTrace));
     std::vector<std::uint8_t> bytes = writer.take();
 
-    ASSERT_TRUE(readWithWorkers(bytes, 4).ok);
+    ASSERT_TRUE(readTrace(bytes, DecodePools().on(4)).ok);
 
     const std::size_t scan_polls = 8191 / 4096;
     std::size_t polls = 0;
@@ -669,24 +692,76 @@ TEST(EngineLoad, TraceLoadQueryMatchesSerialReadAtOneAndFourWorkers)
     }
 }
 
+/** 1 topology + (32 * 4096 - 3) state events + 1 end frames on 16 CPUs:
+ *  a load long enough to submit work while it runs. */
+std::vector<std::uint8_t>
+longLoadBytes()
+{
+    const std::uint32_t cpus = 16;
+    ByteWriter writer = compactHeader(cpus);
+    writeValidStates(writer, cpus, 32 * 4096 - 3);
+    writer.writeU8(static_cast<std::uint8_t>(FrameType::EndOfTrace));
+    return writer.take();
+}
+
+TEST(EngineLoad, InteractiveQuerySubmittedDuringALoadFinishesFirst)
+{
+    // Through Session::submit(TraceLoadQuery): once the background load
+    // runs, an interactive query must complete before it. On a 1-worker
+    // engine the load holds the only worker, so the query runs only
+    // through the load's donation hook.
+    auto bytes = std::make_shared<const std::vector<std::uint8_t>>(
+        longLoadBytes());
+    for (unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(std::to_string(workers) + " workers");
+        Session session(buildRandomTrace(5, {.cpus = 4}));
+        session.setConcurrency({workers});
+        std::atomic<int> completions{0};
+        std::atomic<int> load_rank{0}, query_rank{0};
+        session::TraceLoadQuery load;
+        load.bytes = bytes;
+        auto load_ticket = session.submit(load);
+        load_ticket.onComplete([&](session::QueryStatus) {
+            load_rank = ++completions;
+        });
+        while (load_ticket.status() == session::QueryStatus::Pending)
+            std::this_thread::yield();
+        ASSERT_EQ(load_ticket.status(), session::QueryStatus::Running)
+            << "the load finished before the query was submitted";
+        auto query = session.submit(session::IntervalStatsQuery{});
+        query.onComplete([&](session::QueryStatus) {
+            query_rank = ++completions;
+        });
+        session::TraceLoadResult loaded = load_ticket.take();
+        ASSERT_TRUE(loaded.ok) << loaded.error;
+        EXPECT_EQ(encoded(query.take(), stats::encodeIntervalStats),
+                  encoded(session.intervalStats(),
+                          stats::encodeIntervalStats));
+        // take() can return before the completion callbacks ran.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (completions.load() < 2 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        EXPECT_LT(query_rank.load(), load_rank.load());
+    }
+}
+
 TEST(EngineLoad, InteractiveQuerySubmittedDuringDecodeFinishesFirst)
 {
-    // 1 topology + (32 * 4096 - 3) state events + 1 end = 32 * 4096 - 1
-    // frames: the loading thread's scan polls 31 times and its next
-    // poll comes with the first frames it decodes (parallelFor hands
-    // the calling thread the first, largest lane).
-    const std::uint32_t cpus = 16;
-    const std::size_t frames = 32 * 4096 - 1;
-    ByteWriter writer = compactHeader(cpus);
-    writeValidStates(writer, cpus, frames - 2);
-    writer.writeU8(static_cast<std::uint8_t>(FrameType::EndOfTrace));
-    const std::vector<std::uint8_t> bytes = writer.take();
-    const std::size_t scan_polls = frames / 4096;
+    // The scan of longLoadBytes() (32 * 4096 - 1 frames) polls 31
+    // times, and the loading thread's next poll comes with the first
+    // frames it decodes (parallelFor hands the calling thread the
+    // first, largest lane).
+    const std::vector<std::uint8_t> bytes = longLoadBytes();
+    const std::size_t scan_polls = (32 * 4096 - 1) / 4096;
 
-    // The load runs as a TraceLoadQuery runs it: a task on the engine's
-    // 4-worker pool, decoding on that same pool and donating its thread
-    // to queued interactive work at every poll. At its first
-    // decode-time poll it submits an interactive query.
+    // The load is driven by hand, the way TraceLoadQuery drives it (a
+    // task on the engine's 4-worker pool, decoding on that same pool
+    // and donating its thread to queued interactive work at every
+    // poll), so the query can be submitted at the first decode-time
+    // poll: this covers parallelFor and the donation hook during the
+    // decode; the test above covers the submit path itself.
     Session session(buildRandomTrace(5, {.cpus = 4}));
     session.setConcurrency({4});
     session::QueryTicket<stats::IntervalStats> query;
